@@ -14,6 +14,7 @@
 #include <numeric>
 #include <vector>
 
+#include "eval/cell.hpp"
 #include "eval/sweep.hpp"
 #include "fault/plan.hpp"
 #include "host/platform.hpp"
@@ -405,6 +406,72 @@ TEST(FaultCompose, LossyFatTreeAt256StillSumsExactly) {
   EXPECT_EQ(failures.load(), 0);  // distributed result == fault-free expectation
   EXPECT_GT(out.injected.drops, 0);
   EXPECT_GT(out.transport.retransmits, 0);
+}
+
+
+// ---------- absolute byte pin over scale-fabric and faulted cells ----------
+
+/// 64-bit FNV-1a, folded over `bytes` starting from `h`.
+std::uint64_t fnv1a(std::uint64_t h, const std::vector<std::byte>& bytes) {
+  for (const std::byte b : bytes) {
+    h ^= static_cast<std::uint64_t>(b);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(ScaleGolden, FabricAndFaultedCellsMatchPinnedDigest) {
+  // Broadcast (p4), global sum (Express) and ring (PVM) on every scale
+  // fabric at P in {256, 1024}, clean and at 5% uniform drop, plus one
+  // App cell and two scheduler streams (one faulted). Every encoded result
+  // byte is folded into one digest; the constant was captured from the
+  // event loop these cells ran on when it was written, so any change in
+  // simulated timing, transport accounting or schedule moves it.
+  std::vector<eval::CellSpec> specs;
+  for (const auto platform : host::scale_platforms()) {
+    for (const int procs : {256, 1024}) {
+      for (const bool faulted : {false, true}) {
+        const FaultPlan plan = faulted ? FaultPlan::uniform(0.05) : FaultPlan{};
+        specs.push_back(eval::CellSpec::of(eval::TplCell{.primitive = eval::Primitive::Broadcast,
+                                                         .platform = platform,
+                                                         .tool = ToolKind::P4,
+                                                         .bytes = 4096,
+                                                         .procs = procs,
+                                                         .faults = plan}));
+        specs.push_back(eval::CellSpec::of(eval::TplCell{.primitive = eval::Primitive::GlobalSum,
+                                                         .platform = platform,
+                                                         .tool = ToolKind::Express,
+                                                         .bytes = 0,
+                                                         .procs = procs,
+                                                         .global_sum_ints = 256,
+                                                         .faults = plan}));
+        specs.push_back(eval::CellSpec::of(eval::TplCell{.primitive = eval::Primitive::Ring,
+                                                         .platform = platform,
+                                                         .tool = ToolKind::Pvm,
+                                                         .bytes = 1024,
+                                                         .procs = procs,
+                                                         .faults = plan}));
+      }
+    }
+  }
+  specs.push_back(eval::CellSpec::of(eval::AppCell{.platform = PlatformId::AlphaFddi,
+                                                   .tool = ToolKind::Express,
+                                                   .app = eval::AppKind::Fft2d,
+                                                   .procs = 4}));
+  eval::SchedCell sched{.platform = PlatformId::ClusterFatTree, .nodes = 128, .njobs = 40};
+  specs.push_back(eval::CellSpec::of(sched));
+  sched.platform = PlatformId::ClusterDragonfly;
+  sched.seed = 7;
+  sched.faults = FaultPlan::uniform(0.05);
+  specs.push_back(eval::CellSpec::of(sched));
+
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  for (const auto& spec : specs) {
+    const eval::CellResult result = eval::run_cell(spec);
+    ASSERT_EQ(result.status, eval::CellStatus::Ok) << result.error;
+    digest = fnv1a(digest, eval::encode_result(result));
+  }
+  EXPECT_EQ(digest, 0x25257c95084d1f8aULL) << std::hex << "digest 0x" << digest;
 }
 
 }  // namespace
