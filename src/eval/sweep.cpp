@@ -200,15 +200,7 @@ unsigned sweep_threads(unsigned requested) {
     if (v > 0) return static_cast<unsigned>(v);
   }
   const unsigned hw = std::thread::hardware_concurrency();
-  unsigned fleet = hw > 0 ? hw : 1;
-  // Intra-run sharding (PDC_SIM_THREADS / mp::set_sim_threads) multiplies
-  // every cell's thread footprint, so the default fleet width cedes cores
-  // to it: fleet x intra stays <= hardware. An explicit `requested` or
-  // PDC_SWEEP_THREADS wins unconditionally -- the caller is asserting the
-  // product is what they want (e.g. few huge cells, oversubscribe fleet=1).
-  const int intra = mp::sim_threads();
-  if (intra > 1) fleet = std::max(1u, fleet / static_cast<unsigned>(intra));
-  return fleet;
+  return hw > 0 ? hw : 1;
 }
 
 void parallel_for_index(std::size_t n, unsigned threads,

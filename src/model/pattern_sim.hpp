@@ -25,7 +25,7 @@
 //
 // Each returns simulated milliseconds from the same run_spmd driver the
 // TPL primitives use, so results inherit every determinism guarantee
-// (bit-identical across PDC_SIM_THREADS / PDC_SWEEP_THREADS).
+// (bit-identical across PDC_SWEEP_THREADS).
 #pragma once
 
 #include <cstdint>

@@ -79,11 +79,10 @@ class Network {
 
   /// Conservative lookahead: a lower bound on the latency of ANY transfer
   /// between distinct nodes -- if a frame is injected at time t, no byte of
-  /// it can reach another node's NIC before t + lookahead(). The sharded
-  /// event loop uses this as its safe horizon (shards may run a window of
-  /// this width in parallel without waiting on each other). Zero means
-  /// "unknown" and forces serial execution. Must not change over the life
-  /// of a simulation.
+  /// it can reach another node's NIC before t + lookahead(). The scheduler
+  /// floors every job's launch delay at this value, so it is part of the
+  /// pinned schedule bytes: changing an override moves SchedCell results.
+  /// Zero means "unknown". Must not change over the life of a simulation.
   [[nodiscard]] virtual sim::Duration lookahead() const noexcept { return {}; }
 
   /// Nominal line rate in bits/s (for reporting).

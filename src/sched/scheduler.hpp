@@ -1,10 +1,9 @@
 // pdceval -- deterministic multi-tenant cluster scheduler.
 //
-// The Scheduler is a hub-domain actor layered on the simulation kernel: job
-// arrivals are hub events, placement decisions happen on the (serially
-// replayed) hub, and per-rank completion notifications ride
-// schedule_hub_inline so scheduler state mutates at the exact position the
-// serial loop would -- schedules are bit-identical across PDC_SIM_THREADS.
+// The Scheduler is an actor layered on the simulation kernel: job arrivals
+// are ordinary events, placement decisions run inside them, and each rank's
+// completion updates scheduler state inline at the end of its coroutine, so
+// a schedule is a pure function of its inputs.
 //
 // Placement model: every job gets a *contiguous* slice [base, base+ranks)
 // of the cluster's nodes (a mp::NodeRange), so a node hosts at most one job
@@ -58,7 +57,7 @@ class Scheduler {
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  /// Register a job; its arrival is scheduled as a hub event at
+  /// Register a job; its arrival is scheduled as an event at
   /// `spec.submit`. Call before Simulation::run(), in (submit, id) order so
   /// same-instant arrivals enqueue deterministically.
   void submit(JobSpec spec);
@@ -130,9 +129,8 @@ struct ScheduleConfig {
   fault::FaultPlan faults{};  ///< disabled by default (bit-identical to fault-free)
 };
 
-/// Build a cluster, wrap its wire if `config.faults` is armed, shard the
-/// event loop when PDC_SIM_THREADS asks for it, run every job to
-/// completion and aggregate the outcome. `jobs` need not be sorted.
+/// Build a cluster, wrap its wire if `config.faults` is armed, run every
+/// job to completion and aggregate the outcome. `jobs` need not be sorted.
 [[nodiscard]] ScheduleOutcome run_schedule(const ScheduleConfig& config,
                                            std::vector<JobSpec> jobs);
 

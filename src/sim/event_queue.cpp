@@ -5,9 +5,9 @@
 
 namespace pdc::sim {
 
-void EventQueue::push_out_of_order(TimePoint at, std::uint64_t seq, Event ev) {
+void EventQueue::push_out_of_order(TimePoint at, Event ev) {
   ++stats_.heap_pushes;
-  heap_.push_back(Entry{at, seq, std::move(ev)});
+  heap_.push_back(Entry{at, next_seq_++, std::move(ev)});
   sift_up(heap_.size() - 1);
 }
 

@@ -1,197 +1,27 @@
 #include "sim/simulation.hpp"
 
-#include <algorithm>
-#include <condition_variable>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "trace/probe.hpp"
 
 namespace pdc::sim {
 
-namespace {
-
-/// Min-heap "goes later" comparator over (at, seq) for std::push_heap /
-/// std::pop_heap (which build a max-heap w.r.t. the comparator).
-template <typename H>
-[[nodiscard]] bool hub_later(const H& a, const H& b) noexcept {
-  return a.at != b.at ? a.at > b.at : a.seq > b.seq;
-}
-
-/// Shared state of the per-window fork/join barrier. The mutex carries all
-/// happens-before edges: window parameters and shard queues written by the
-/// main thread are published by the gen bump; shard logs written by workers
-/// are published by the remaining-counter decrement.
-struct TeamSync {
-  std::mutex mu;
-  std::condition_variable cv_start;
-  std::condition_variable cv_done;
-  std::uint64_t gen{0};
-  int remaining{0};
-  bool stop{false};
-  TimePoint bound{};
-  std::uint64_t watermark{0};
-  std::uint64_t cap{0};
-};
-
-}  // namespace
-
-Simulation::~Simulation() = default;
-
 void Simulation::spawn(Task<> process, std::string name) {
-  const detail::ExecContext& c = detail::exec_ctx();
-  if (c.sim == this && c.shard != detail::ExecContext::kHub) {
-    throw std::logic_error("Simulation::spawn: cannot spawn from a shard context");
-  }
   auto root = std::make_unique<RootProcess>(RootProcess{std::move(process), std::move(name)});
   auto handle = root->task.handle();
   roots_.push_back(std::move(root));
-  if (shards_.empty()) {
-    queue_.push_now(now_, Event{handle});
-  } else {
-    hub_push(HubEvent{now(), global_seq_++, Event{handle}});
-  }
+  queue_.push_now(now_, Event{handle});
 }
 
-void Simulation::spawn_on(int rank, Task<> process, std::string name) {
-  if (shards_.empty()) {
-    spawn(std::move(process), std::move(name));
-    return;
-  }
+void Simulation::spawn_at(TimePoint at, Task<> process, std::string name) {
   auto root = std::make_unique<RootProcess>(RootProcess{std::move(process), std::move(name)});
   auto handle = root->task.handle();
   roots_.push_back(std::move(root));
-  shards_[shard_of(rank)]->queue.push_seq(now_, global_seq_++, Event{handle});
-}
-
-void Simulation::spawn_on_at(int rank, TimePoint at, Task<> process, std::string name) {
-  auto root = std::make_unique<RootProcess>(RootProcess{std::move(process), std::move(name)});
-  auto handle = root->task.handle();
-  // roots_ is only touched from serial context, setup code, or the
-  // single-threaded hub merge -- never from a phase-A shard worker (and
-  // schedule_on_rank rejects shard-context cross-shard pushes anyway).
-  roots_.push_back(std::move(root));
-  schedule_on_rank(rank, at, Event{handle});
-}
-
-void Simulation::configure_shards(int shards, int nranks, Duration lookahead) {
-  if (!shards_.empty()) {
-    throw std::logic_error("Simulation::configure_shards: already configured");
-  }
-  if (events_processed_ != 0 || !roots_.empty() || !queue_.empty()) {
-    throw std::logic_error("Simulation::configure_shards: simulation already in use");
-  }
-  const int s = std::min(shards, nranks);
-  if (s <= 1 || lookahead <= Duration::zero()) return;  // stay serial
-  lookahead_ = lookahead;
-  nranks_ = nranks;
-  shards_.reserve(static_cast<std::size_t>(s));
-  for (int i = 0; i < s; ++i) shards_.push_back(std::make_unique<Shard>());
-}
-
-void Simulation::schedule_routed(TimePoint at, Event ev) {
-  detail::ExecContext& c = detail::exec_ctx();
-  if (c.sim != this) {
-    // Sharded simulation, scheduling from outside run() (setup code): the
-    // hub replays these in push order, like the serial queue would.
-    if (at < now_) throw std::invalid_argument("Simulation::schedule_at: time in the past");
-    hub_push(HubEvent{at, global_seq_++, std::move(ev)});
-    return;
-  }
-  if (at < c.now) throw std::invalid_argument("Simulation::schedule_at: time in the past");
-  if (c.shard == detail::ExecContext::kHub) {
-    hub_push(HubEvent{at, global_seq_++, std::move(ev)});
-    return;
-  }
-  Shard& sh = *shards_[static_cast<std::size_t>(c.shard)];
-  if (at <= window_bound_) {
-    // In-window push: executes this window. The queue hands out provisional
-    // seqs in lockstep with the births index (watermark + births.size()),
-    // so a pop with seq >= watermark maps straight back to its birth.
-    sh.births.push_back(
-        Birth{static_cast<std::uint32_t>(sh.log.size() - 1), sh.cur_pushes++});
-    if (at == c.now) {
-      sh.queue.push_now(at, std::move(ev));
-    } else {
-      sh.queue.push(at, std::move(ev));
-    }
-  } else {
-    // Beyond the window: the merge inserts it with its real global seq.
-    sh.staged.push_back(StagedPush{at, sh.cur_pushes++, PushKind::kLocalFuture, std::move(ev)});
-  }
-}
-
-void Simulation::schedule_hub(TimePoint at, Event ev) {
-  if (shards_.empty()) {
-    schedule_at(at, std::move(ev));
-    return;
-  }
-  detail::ExecContext& c = detail::exec_ctx();
-  if (c.sim == this && c.shard != detail::ExecContext::kHub) {
-    Shard& sh = *shards_[static_cast<std::size_t>(c.shard)];
-    sh.staged.push_back(StagedPush{at, sh.cur_pushes++, PushKind::kHub, std::move(ev)});
-    return;
-  }
-  if (at < now()) throw std::invalid_argument("Simulation::schedule_at: time in the past");
-  hub_push(HubEvent{at, global_seq_++, std::move(ev)});
-}
-
-void Simulation::schedule_hub_inline(Event ev) {
-  detail::ExecContext& c = detail::exec_ctx();
-  if (shards_.empty() || c.sim != this || c.shard == detail::ExecContext::kHub) {
-    ev();  // serial semantics: runs in place inside the calling event
-    return;
-  }
-  Shard& sh = *shards_[static_cast<std::size_t>(c.shard)];
-  // Deliberately does NOT consume a push slot (cur_pushes untouched): the
-  // merge runs the closure right after finalizing the calling event's own
-  // pushes, so pushes made inside it continue the global counter exactly
-  // where the serial loop's inline call would.
-  sh.staged.push_back(StagedPush{c.now, 0, PushKind::kHubInline, std::move(ev)});
-}
-
-void Simulation::schedule_on_rank(int rank, TimePoint at, Event ev) {
-  if (shards_.empty()) {
-    schedule_at(at, std::move(ev));
-    return;
-  }
-  detail::ExecContext& c = detail::exec_ctx();
-  const int target = shard_of(rank);
-  if (c.sim == this && c.shard != detail::ExecContext::kHub) {
-    if (target != c.shard) {
-      throw std::logic_error("Simulation::schedule_on_rank: cross-shard push from a shard context");
-    }
-    schedule_routed(at, std::move(ev));
-    return;
-  }
-  if (c.sim == this && at <= window_bound_) {
-    // A hub->shard hand-off inside the closed window would have to rewind a
-    // shard that already ran past it; the lookahead contract (arrival >=
-    // send time + lookahead > window bound) makes this unreachable.
-    throw std::logic_error("Simulation::schedule_on_rank: hand-off inside the closed window");
-  }
-  shards_[static_cast<std::size_t>(target)]->queue.push_seq(at, global_seq_++, std::move(ev));
-}
-
-void Simulation::hub_push(HubEvent he) {
-  hub_.push_back(std::move(he));
-  std::push_heap(hub_.begin(), hub_.end(), hub_later<HubEvent>);
-}
-
-Simulation::HubEvent Simulation::hub_pop() {
-  std::pop_heap(hub_.begin(), hub_.end(), hub_later<HubEvent>);
-  HubEvent he = std::move(hub_.back());
-  hub_.pop_back();
-  return he;
+  schedule_at(at, Event{handle});
 }
 
 TimePoint Simulation::run(TimePoint until) {
-  return shards_.empty() ? run_serial(until) : run_sharded(until);
-}
-
-TimePoint Simulation::run_serial(TimePoint until) {
   TimePoint at{};
   Event event;
   while (queue_.pop_next(until, at, event)) {
@@ -213,259 +43,16 @@ TimePoint Simulation::run_serial(TimePoint until) {
   // Surface process failures and deadlocks only once the queue has fully
   // drained -- a run() bounded by `until` may legitimately leave processes
   // suspended mid-protocol.
-  if (queue_.empty()) finish_run_checks();
+  if (queue_.empty()) {
+    for (const auto& root : roots_) root->task.rethrow_if_failed();
+    for (const auto& root : roots_) {
+      if (!root->task.done()) {
+        throw DeadlockDetected("process '" + (root->name.empty() ? "<anonymous>" : root->name) +
+                               "' is blocked with no pending events (deadlock)");
+      }
+    }
+  }
   return now_;
-}
-
-TimePoint Simulation::run_sharded(TimePoint until) {
-  const int S = static_cast<int>(shards_.size());
-  TeamSync sync;
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(S - 1));
-  struct Joiner {
-    TeamSync& ts;
-    std::vector<std::thread>& ws;
-    ~Joiner() {
-      {
-        std::lock_guard<std::mutex> lk(ts.mu);
-        ts.stop = true;
-      }
-      ts.cv_start.notify_all();
-      for (auto& w : ws) {
-        if (w.joinable()) w.join();
-      }
-    }
-  } joiner{sync, workers};
-  for (int s = 1; s < S; ++s) {
-    workers.emplace_back([this, &sync, s] {
-      std::uint64_t seen = 0;
-      for (;;) {
-        TimePoint bound{};
-        std::uint64_t wm = 0;
-        std::uint64_t cap = 0;
-        {
-          std::unique_lock<std::mutex> lk(sync.mu);
-          sync.cv_start.wait(lk, [&] { return sync.stop || sync.gen != seen; });
-          if (sync.stop) return;
-          seen = sync.gen;
-          bound = sync.bound;
-          wm = sync.watermark;
-          cap = sync.cap;
-        }
-        exec_window_shard(s, bound, wm, cap);
-        {
-          std::lock_guard<std::mutex> lk(sync.mu);
-          if (--sync.remaining == 0) sync.cv_done.notify_one();
-        }
-      }
-    });
-  }
-
-  for (;;) {
-    // T = earliest pending key anywhere; the window jumps straight to the
-    // next event cluster instead of marching in fixed lookahead steps.
-    bool any = false;
-    TimePoint t{};
-    for (const auto& shp : shards_) {
-      if (shp->queue.empty()) continue;
-      const TimePoint nt = shp->queue.next_time();
-      if (!any || nt < t) {
-        t = nt;
-        any = true;
-      }
-    }
-    if (!hub_.empty() && (!any || hub_.front().at < t)) {
-      t = hub_.front().at;
-      any = true;
-    }
-    if (!any) {
-      finish_run_checks();
-      return now_;
-    }
-    if (t > until) return now_;
-    if (events_processed_ >= event_budget_) {
-      // The serial loop would pop this pending event and trip the budget.
-      throw EventBudgetExceeded("simulation exceeded event budget of " +
-                                std::to_string(event_budget_) + " events");
-    }
-    // Inclusive window [t, t + lookahead): every event in it is causally
-    // independent across shards (any cross-shard effect of an event at
-    // time >= t lands at >= t + lookahead). Saturate, clamp to `until`.
-    TimePoint bound{t.ns + std::min(lookahead_.ns - 1,
-                                    std::numeric_limits<std::int64_t>::max() - t.ns)};
-    bound = std::min(bound, until);
-    window_bound_ = bound;
-    const std::uint64_t watermark = global_seq_;
-    const std::uint64_t cap = event_budget_ - events_processed_;
-
-    // Phase A: all shards execute their slice of the window in parallel.
-    {
-      std::lock_guard<std::mutex> lk(sync.mu);
-      sync.bound = bound;
-      sync.watermark = watermark;
-      sync.cap = cap;
-      sync.remaining = S - 1;
-      ++sync.gen;
-    }
-    sync.cv_start.notify_all();
-    exec_window_shard(0, bound, watermark, cap);
-    {
-      std::unique_lock<std::mutex> lk(sync.mu);
-      sync.cv_done.wait(lk, [&] { return sync.remaining == 0; });
-    }
-    for (const auto& shp : shards_) {
-      if (shp->infra_error) std::rethrow_exception(shp->infra_error);
-    }
-
-    // Barrier merge: replay the window in exact global (time, seq) order.
-    merge_window(bound);
-  }
-}
-
-void Simulation::exec_window_shard(int s, TimePoint bound, std::uint64_t watermark,
-                                   std::uint64_t cap) {
-  Shard& sh = *shards_[static_cast<std::size_t>(s)];
-  sh.log.clear();
-  sh.staged.clear();
-  sh.births.clear();
-  sh.cursor = 0;
-  sh.cur_pushes = 0;
-  detail::ExecContext& c = detail::exec_ctx();
-  c.sim = this;
-  c.shard = s;
-  try {
-    // Provisional in-window seqs start at the global watermark: >= every
-    // seq already in this queue, and resolved to real seqs at the merge.
-    sh.queue.set_next_seq(watermark);
-    TimePoint at{};
-    std::uint64_t seq = 0;
-    Event ev;
-    std::uint64_t executed = 0;
-    while (executed < cap && sh.queue.pop_next(bound, at, seq, ev)) {
-      ++executed;
-      c.now = at;
-      LogEntry le;
-      le.at = at;
-      le.seq = seq;
-      if (seq >= watermark) {
-        const Birth& b = sh.births[static_cast<std::size_t>(seq - watermark)];
-        le.parent = b.parent;
-        le.push_idx = b.push_idx;
-      }
-      le.first_staged = static_cast<std::uint32_t>(sh.staged.size());
-      sh.log.push_back(std::move(le));
-      LogEntry& cur = sh.log.back();  // stable: ev() never touches the log
-      sh.cur_pushes = 0;
-      try {
-        ev();
-      } catch (...) {
-        cur.error = std::current_exception();
-      }
-      cur.n_pushes = sh.cur_pushes;
-      cur.n_staged = static_cast<std::uint32_t>(sh.staged.size()) - cur.first_staged;
-      // Stop at the failure; the merge rethrows it at its serial position.
-      if (cur.error) break;
-    }
-  } catch (...) {
-    sh.infra_error = std::current_exception();
-  }
-  c.sim = nullptr;
-}
-
-void Simulation::merge_window(TimePoint bound) {
-  detail::ExecContext& c = detail::exec_ctx();
-  c.sim = this;
-  c.shard = detail::ExecContext::kHub;
-  struct CtxGuard {
-    detail::ExecContext& ctx;
-    ~CtxGuard() { ctx.sim = nullptr; }
-  } guard{c};
-
-  const int S = static_cast<int>(shards_.size());
-  for (;;) {
-    // Pick the (time, seq)-minimal unconsumed event across all shard logs
-    // and the hub heap. S is small (<= threads); a linear scan beats a
-    // priority queue here.
-    int best = -1;  // shard index, or S for the hub
-    TimePoint bat{};
-    std::uint64_t bseq = 0;
-    for (int s = 0; s < S; ++s) {
-      Shard& sh = *shards_[static_cast<std::size_t>(s)];
-      if (sh.cursor >= sh.log.size()) continue;
-      LogEntry& e = sh.log[sh.cursor];
-      if (e.parent != kNoParent) {
-        // Resolve an in-window child's real seq from its (already consumed)
-        // parent's push block; resolve once.
-        e.seq = sh.log[e.parent].push_seq_base + e.push_idx;
-        e.parent = kNoParent;
-      }
-      if (best < 0 || e.at < bat || (e.at == bat && e.seq < bseq)) {
-        best = s;
-        bat = e.at;
-        bseq = e.seq;
-      }
-    }
-    if (!hub_.empty() && hub_.front().at <= bound) {
-      const HubEvent& h = hub_.front();
-      if (best < 0 || h.at < bat || (h.at == bat && h.seq < bseq)) {
-        best = S;
-        bat = h.at;
-        bseq = h.seq;
-      }
-    }
-    if (best < 0) break;
-
-    if (events_processed_ >= event_budget_) {
-      throw EventBudgetExceeded("simulation exceeded event budget of " +
-                                std::to_string(event_budget_) + " events");
-    }
-    now_ = bat;
-    c.now = bat;
-    ++events_processed_;
-
-    if (best == S) {
-      // Hub events run live, single-threaded, in serial order; exceptions
-      // (e.g. TransportFailure) propagate exactly as the serial loop's.
-      HubEvent he = hub_pop();
-      he.ev();
-      continue;
-    }
-
-    Shard& sh = *shards_[static_cast<std::size_t>(best)];
-    LogEntry& e = sh.log[sh.cursor++];
-    if (e.error) std::rethrow_exception(e.error);
-    // Assign this event's pushes the seq block the serial loop would have:
-    // consumption order == serial order, so the counter replays exactly.
-    e.push_seq_base = global_seq_;
-    global_seq_ += e.n_pushes;
-    for (std::uint32_t i = 0; i < e.n_staged; ++i) {
-      StagedPush& p = sh.staged[e.first_staged + i];
-      switch (p.kind) {
-        case PushKind::kLocalFuture:
-          sh.queue.push_seq(p.at, e.push_seq_base + p.push_idx, std::move(p.ev));
-          break;
-        case PushKind::kHub:
-          hub_push(HubEvent{p.at, e.push_seq_base + p.push_idx, std::move(p.ev)});
-          break;
-        case PushKind::kHubInline:
-          // Runs here, inside the parent's turn (the serial loop called it
-          // inline); its pushes route through the hub context and continue
-          // global_seq_ right after the parent's own block.
-          p.ev();
-          break;
-      }
-    }
-  }
-}
-
-void Simulation::finish_run_checks() {
-  for (const auto& root : roots_) root->task.rethrow_if_failed();
-  for (const auto& root : roots_) {
-    if (!root->task.done()) {
-      throw DeadlockDetected("process '" + (root->name.empty() ? "<anonymous>" : root->name) +
-                             "' is blocked with no pending events (deadlock)");
-    }
-  }
 }
 
 }  // namespace pdc::sim

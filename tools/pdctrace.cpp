@@ -12,7 +12,6 @@
 // exported files are valid but contain no events.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -29,6 +28,9 @@ namespace {
 using pdc::eval::AppCell;
 using pdc::eval::TplCell;
 using pdc::tools::parse_app;
+using pdc::tools::parse_count;
+using pdc::tools::parse_fault_rate;
+using pdc::tools::parse_number;
 using pdc::tools::parse_platform;
 using pdc::tools::parse_primitive;
 using pdc::tools::parse_tool;
@@ -55,9 +57,9 @@ struct Options {
                "  --platform %s\n"
                "  --primitive sendrecv|broadcast|ring|globalsum   (TPL cell)\n"
                "  --app jpeg|fft|mc|psrs                          (APL cell)\n"
-               "  --bytes N --procs N --ints N  cell size parameters\n"
-               "  --drop R --corrupt R --dup R --seed S   fault plan\n"
-               "  --buffer N                    trace ring capacity (records)\n"
+               "  --bytes N --procs N --ints N  cell size parameters (procs > 0)\n"
+               "  --drop R --corrupt R --dup R --seed S   fault plan (rates in [0, 1))\n"
+               "  --buffer N                    trace ring capacity (records, > 0)\n"
                "  --categories LIST             default|all|mp,net,transport,sim,host\n"
                "  --json FILE --csv FILE        exporters\n"
                "  --report / --no-report        text analysis (default on)\n"
@@ -133,14 +135,18 @@ int main(int argc, char** argv) {
     else if (arg == "--platform") { const auto v = next(); ok = parse_platform(v, o.tpl.platform); o.app.platform = o.tpl.platform; }
     else if (arg == "--primitive") { ok = parse_primitive(next(), o.tpl.primitive); o.is_app = false; }
     else if (arg == "--app") { ok = parse_app(next(), o.app.app); o.is_app = true; }
-    else if (arg == "--bytes") o.tpl.bytes = std::atoll(next().c_str());
-    else if (arg == "--procs") { o.tpl.procs = std::atoi(next().c_str()); o.app.procs = o.tpl.procs; }
-    else if (arg == "--ints") o.tpl.global_sum_ints = std::atoll(next().c_str());
-    else if (arg == "--drop") o.drop = std::atof(next().c_str());
-    else if (arg == "--corrupt") o.corrupt = std::atof(next().c_str());
-    else if (arg == "--dup") o.duplicate = std::atof(next().c_str());
-    else if (arg == "--seed") o.seed = std::strtoull(next().c_str(), nullptr, 0);
-    else if (arg == "--buffer") o.capture.capacity = static_cast<std::size_t>(std::atoll(next().c_str()));
+    else if (arg == "--bytes") ok = parse_number(next(), o.tpl.bytes) && o.tpl.bytes >= 0;
+    else if (arg == "--procs") { ok = parse_count(next(), o.tpl.procs); o.app.procs = o.tpl.procs; }
+    else if (arg == "--ints") ok = parse_number(next(), o.tpl.global_sum_ints) && o.tpl.global_sum_ints >= 0;
+    else if (arg == "--drop") ok = parse_fault_rate(next(), o.drop);
+    else if (arg == "--corrupt") ok = parse_fault_rate(next(), o.corrupt);
+    else if (arg == "--dup") ok = parse_fault_rate(next(), o.duplicate);
+    else if (arg == "--seed") ok = pdc::tools::parse_seed(next(), o.seed);
+    else if (arg == "--buffer") {
+      std::int64_t capacity = 0;
+      ok = parse_number(next(), capacity) && capacity > 0;
+      o.capture.capacity = static_cast<std::size_t>(capacity);
+    }
     else if (arg == "--categories") ok = parse_categories(next(), o.capture.mask);
     else if (arg == "--json") o.json_path = next();
     else if (arg == "--csv") o.csv_path = next();
