@@ -2,6 +2,11 @@
 // and determinism of the whole stack.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <utility>
+#include <vector>
+
 #include "eval/apl.hpp"
 #include "eval/criteria.hpp"
 #include "eval/methodology.hpp"
@@ -117,6 +122,52 @@ TEST(Methodology, InvalidWeightsRejected) {
   EXPECT_THROW(evaluate_tools(cfg), std::invalid_argument);
   cfg.level_weights = {.tpl = 0.0, .apl = 0.0, .adl = 0.0};
   EXPECT_THROW(evaluate_tools(cfg), std::invalid_argument);
+}
+
+TEST(Methodology, EvaluateToolsMatchesPinnedDigest) {
+  // Every score evaluate_tools reports, captured to the byte: the four
+  // figure platforms on the reduced test AplConfig, plus SunEthernet on the
+  // default one. Any change to how the methodology measures or scores must
+  // leave these bytes alone, at any sweep width.
+  const auto digest = [] {
+    AplConfig small;
+    small.image_size = 128;
+    small.mc_samples = 200'000;
+    small.mc_rounds = 4;
+    small.sort_keys = 50'000;
+    small.fft_n = 32;
+    std::vector<std::pair<PlatformId, AplConfig>> runs;
+    for (PlatformId p : {PlatformId::AlphaFddi, PlatformId::Sp1Switch, PlatformId::SunAtmWan,
+                         PlatformId::SunEthernet}) {
+      runs.emplace_back(p, small);
+    }
+    runs.emplace_back(PlatformId::SunEthernet, AplConfig{});
+    std::uint64_t h = 0xCBF29CE484222325ULL;
+    const auto mix = [&h](const void* data, std::size_t n) {
+      const auto* b = static_cast<const unsigned char*>(data);
+      for (std::size_t i = 0; i < n; ++i) {
+        h ^= b[i];
+        h *= 0x00000100000001B3ULL;
+      }
+    };
+    for (const auto& [platform, apl] : runs) {
+      EvaluationConfig cfg;
+      cfg.platform = platform;
+      cfg.apl = apl;
+      for (const ToolEvaluation& e : evaluate_tools(cfg)) {
+        const auto tool = static_cast<std::int32_t>(e.tool);
+        mix(&tool, sizeof tool);
+        for (double v : {e.tpl_score, e.apl_score, e.adl_score, e.overall}) mix(&v, sizeof v);
+      }
+    }
+    return h;
+  };
+  constexpr std::uint64_t kPinned = 0xCDA91AAA8F0225BBULL;
+  EXPECT_EQ(digest(), kPinned);
+  ::setenv("PDC_SWEEP_THREADS", "1", 1);
+  const std::uint64_t serial = digest();
+  ::unsetenv("PDC_SWEEP_THREADS");
+  EXPECT_EQ(serial, kPinned);
 }
 
 TEST(Methodology, PvmTplScoreZeroWithoutGlobalSum) {
