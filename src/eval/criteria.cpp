@@ -1,5 +1,6 @@
 #include "eval/criteria.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace pdc::eval {
@@ -113,6 +114,7 @@ double adl_score(mp::ToolKind tool, const AdlWeights& weights) {
   double total = 0.0;
   double wsum = 0.0;
   for (const auto& [criterion, weight] : weights.weights) {
+    if (!std::isfinite(weight)) throw std::invalid_argument("adl_score: non-finite weight");
     if (weight < 0) throw std::invalid_argument("adl_score: negative weight");
     total += weight * support_score(adl_rating(tool, criterion));
     wsum += weight;

@@ -54,7 +54,8 @@ struct AdlWeights {
   [[nodiscard]] double weight_of(Criterion c) const;
 };
 
-/// Weighted ADL score of a tool in [0, 1].
+/// Weighted ADL score of a tool in [0, 1]. Throws std::invalid_argument for
+/// a negative or non-finite weight.
 [[nodiscard]] double adl_score(mp::ToolKind tool, const AdlWeights& weights);
 
 // -- Table 1: the paper's mapping from TPL primitives to native calls -------

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "eval/apl.hpp"
@@ -49,18 +48,14 @@ struct EvaluationConfig {
 };
 
 /// Evaluate all three tools on one platform; returned vector is sorted by
-/// descending overall score (the recommendation order).
+/// descending overall score (the recommendation order). Every (tool,
+/// primitive) and (tool, application) cell is measured once. TPL is the
+/// geometric mean of best/actual over the four primitives (a missing one --
+/// PVM's global sum, the paper's "Not Available" -- scores the tool 0); APL
+/// is the mean of best/actual over the four apps. Throws
+/// std::invalid_argument for a negative, non-finite or all-zero level
+/// weight and for `procs < 2`.
 [[nodiscard]] std::vector<ToolEvaluation> evaluate_tools(const EvaluationConfig& cfg);
-
-/// TPL-only normalised score of one tool (geometric mean of best/actual
-/// across the four primitives; a missing primitive -- PVM's global sum --
-/// scores 0 for that primitive, as the paper's "Not Available").
-[[nodiscard]] double tpl_score(host::PlatformId platform, mp::ToolKind tool, int procs,
-                               std::int64_t bytes, std::int64_t global_sum_ints);
-
-/// APL-only normalised score (mean of best/actual over the four apps).
-[[nodiscard]] double apl_score(host::PlatformId platform, mp::ToolKind tool, int procs,
-                               const AplConfig& cfg);
 
 /// Tools ordered fastest-first on `primitive` (paper Table 4 rows). PVM is
 /// omitted from GlobalSum.

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -60,6 +61,16 @@ TEST(Criteria, NegativeWeightRejected) {
   AdlWeights bad = AdlWeights::uniform();
   bad.weights[0].second = -1.0;
   EXPECT_THROW((void)adl_score(ToolKind::P4, bad), std::invalid_argument);
+}
+
+TEST(Criteria, NonFiniteWeightRejected) {
+  // A NaN weight slips past `weight < 0` and would zero every ADL score.
+  for (double v : {std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity()}) {
+    AdlWeights bad = AdlWeights::uniform();
+    bad.weights[0].second = v;
+    EXPECT_THROW((void)adl_score(ToolKind::P4, bad), std::invalid_argument) << v;
+  }
 }
 
 TEST(Criteria, Table1NativeCalls) {
@@ -122,6 +133,26 @@ TEST(Methodology, InvalidWeightsRejected) {
   EXPECT_THROW(evaluate_tools(cfg), std::invalid_argument);
   cfg.level_weights = {.tpl = 0.0, .apl = 0.0, .adl = 0.0};
   EXPECT_THROW(evaluate_tools(cfg), std::invalid_argument);
+  // NaN passes both checks above and would make every overall NaN, which
+  // std::sort cannot order; +inf gives inf/inf.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const LevelWeights bad : {LevelWeights{.tpl = nan}, LevelWeights{.apl = nan},
+                                 LevelWeights{.adl = nan}, LevelWeights{.tpl = inf},
+                                 LevelWeights{.adl = -inf}}) {
+    cfg.level_weights = bad;
+    EXPECT_THROW(evaluate_tools(cfg), std::invalid_argument);
+  }
+}
+
+TEST(Methodology, FewerThanTwoProcsRejected) {
+  // At one process broadcast and ring take 0 ms, so p4's and Express's TPL
+  // scores are 0/0 and PVM would be recommended first.
+  EvaluationConfig cfg;
+  cfg.procs = 1;
+  EXPECT_THROW(evaluate_tools(cfg), std::invalid_argument);
+  cfg.procs = 0;
+  EXPECT_THROW(evaluate_tools(cfg), std::invalid_argument);
 }
 
 TEST(Methodology, EvaluateToolsMatchesPinnedDigest) {
@@ -172,8 +203,20 @@ TEST(Methodology, EvaluateToolsMatchesPinnedDigest) {
 
 TEST(Methodology, PvmTplScoreZeroWithoutGlobalSum) {
   // "Not Available" disqualifies a tool at TPL, as in the paper's Table 4.
-  EXPECT_EQ(tpl_score(PlatformId::SunEthernet, ToolKind::Pvm, 4, 16384, 40000), 0.0);
-  EXPECT_GT(tpl_score(PlatformId::SunEthernet, ToolKind::P4, 4, 16384, 40000), 0.0);
+  EvaluationConfig cfg;
+  cfg.platform = PlatformId::SunEthernet;
+  cfg.apl.image_size = 128;
+  cfg.apl.mc_samples = 200'000;
+  cfg.apl.mc_rounds = 4;
+  cfg.apl.sort_keys = 50'000;
+  cfg.apl.fft_n = 32;
+  for (const ToolEvaluation& e : evaluate_tools(cfg)) {
+    if (e.tool == ToolKind::Pvm) {
+      EXPECT_EQ(e.tpl_score, 0.0);
+    } else if (e.tool == ToolKind::P4) {
+      EXPECT_GT(e.tpl_score, 0.0);
+    }
+  }
 }
 
 TEST(Methodology, RankByPrimitiveShapes) {
