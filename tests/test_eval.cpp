@@ -134,12 +134,12 @@ TEST(Methodology, InvalidWeightsRejected) {
   cfg.level_weights = {.tpl = 0.0, .apl = 0.0, .adl = 0.0};
   EXPECT_THROW(evaluate_tools(cfg), std::invalid_argument);
   // NaN passes both checks above and would make every overall NaN, which
-  // std::sort cannot order; +inf gives inf/inf.
+  // std::sort cannot order; inf gives inf/inf.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   for (const LevelWeights bad : {LevelWeights{.tpl = nan}, LevelWeights{.apl = nan},
                                  LevelWeights{.adl = nan}, LevelWeights{.tpl = inf},
-                                 LevelWeights{.adl = -inf}}) {
+                                 LevelWeights{.apl = inf}}) {
     cfg.level_weights = bad;
     EXPECT_THROW(evaluate_tools(cfg), std::invalid_argument);
   }
