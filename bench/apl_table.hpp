@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "eval/apl.hpp"
-#include "eval/sweep.hpp"
+#include "eval/cell.hpp"
 
 namespace pdc::bench {
 
@@ -22,14 +22,16 @@ inline void print_apl_figure(const char* title, host::PlatformId platform,
     return app == eval::AppKind::Fft2d && (p & (p - 1)) != 0;
   };
 
-  std::vector<eval::AppCell> cells;
+  std::vector<eval::CellSpec> cells;
   for (eval::AppKind app : eval::all_apps()) {
     for (int p : procs) {
       if (skip(app, p)) continue;
-      for (auto t : tools) cells.push_back({platform, t, app, p});
+      for (auto t : tools) {
+        cells.push_back(eval::CellSpec::of(eval::AppCell{platform, t, app, p}));
+      }
     }
   }
-  const std::vector<double> seconds = eval::sweep_app_s(cells);
+  const std::vector<eval::CellResult> seconds = eval::sweep(cells);
 
   std::printf("%s (sweep: %u threads, %zu cells)\n", title, eval::sweep_threads(),
               cells.size());
@@ -42,7 +44,7 @@ inline void print_apl_figure(const char* title, host::PlatformId platform,
     for (int p : procs) {
       if (skip(app, p)) continue;
       std::printf("%6d", p);
-      for (std::size_t i = 0; i < tools.size(); ++i) std::printf(" %10.4f", seconds[next++]);
+      for (std::size_t i = 0; i < tools.size(); ++i) std::printf(" %10.4f", seconds[next++].app_s);
       std::printf("\n");
     }
   }

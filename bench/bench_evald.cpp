@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "eval/cell.hpp"
-#include "eval/sweep.hpp"
 #include "evald/client.hpp"
 #include "evald/server.hpp"
 #include "evald/store.hpp"
@@ -48,8 +47,8 @@ std::vector<std::byte> synthetic_result() {
 /// platform (18 cells, several hundred microseconds of simulation each,
 /// the regime a daemon actually serves). Cheap cells would only measure
 /// framing overhead; these measure what the service adds to real work.
-std::vector<eval::TplCell> faulted_cells() {
-  std::vector<eval::TplCell> cells;
+std::vector<eval::CellSpec> faulted_cells() {
+  std::vector<eval::CellSpec> cells;
   for (const host::PlatformId platform : host::all_platforms()) {
     for (const mp::ToolKind tool : {mp::ToolKind::P4, mp::ToolKind::Pvm, mp::ToolKind::Express}) {
       eval::TplCell c;
@@ -60,7 +59,7 @@ std::vector<eval::TplCell> faulted_cells() {
       c.procs = 2;
       c.faults =
           fault::FaultPlan::uniform(0.03, 0.01, 0.01, 0.0, sim::microseconds(200), 0xBE7C);
-      cells.push_back(c);
+      cells.push_back(eval::CellSpec::of(c));
     }
   }
   return cells;
@@ -161,8 +160,8 @@ void BM_ColdSweepDirect(benchmark::State& state) {
   const auto cells_in = faulted_cells();
   std::uint64_t cells = 0;
   for (auto _ : state) {
-    auto ms = eval::sweep_tpl_ms(cells_in, 0);
-    benchmark::DoNotOptimize(ms);
+    auto results = eval::sweep(cells_in, 0);
+    benchmark::DoNotOptimize(results);
     cells += cells_in.size();
   }
   state.counters["cells_per_s"] =
@@ -180,8 +179,7 @@ void BM_ColdSweepDaemon(benchmark::State& state) {
   evald::Server server(config);
   server.start();
   evald::Client client(config.socket_path);
-  std::vector<eval::CellSpec> grid;
-  for (const eval::TplCell& c : faulted_cells()) grid.push_back(eval::CellSpec::of(c));
+  const std::vector<eval::CellSpec> grid = faulted_cells();
 
   std::uint64_t cells = 0;
   for (auto _ : state) {

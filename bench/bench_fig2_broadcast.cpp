@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "eval/sweep.hpp"
+#include "eval/cell.hpp"
 #include "eval/tpl.hpp"
 
 int main() {
@@ -14,18 +14,18 @@ int main() {
   using mp::ToolKind;
   constexpr int kProcs = 4;
 
-  std::vector<eval::TplCell> cells;
+  std::vector<eval::CellSpec> cells;
   for (std::int64_t bytes : eval::paper_message_sizes()) {
     for (ToolKind t : {ToolKind::Pvm, ToolKind::P4, ToolKind::Express}) {
-      cells.push_back(
-          {eval::Primitive::Broadcast, PlatformId::SunEthernet, t, bytes, kProcs, 0});
+      cells.push_back(eval::CellSpec::of(
+          eval::TplCell{eval::Primitive::Broadcast, PlatformId::SunEthernet, t, bytes, kProcs, 0}));
     }
     for (ToolKind t : {ToolKind::Pvm, ToolKind::P4}) {
-      cells.push_back(
-          {eval::Primitive::Broadcast, PlatformId::SunAtmWan, t, bytes, kProcs, 0});
+      cells.push_back(eval::CellSpec::of(
+          eval::TplCell{eval::Primitive::Broadcast, PlatformId::SunAtmWan, t, bytes, kProcs, 0}));
     }
   }
-  const std::vector<std::optional<double>> ms = eval::sweep_tpl_ms(cells);
+  const std::vector<eval::CellResult> ms = eval::sweep(cells);
 
   std::printf("Figure 2: broadcast timing using %d SUNs (milliseconds)"
               " (sweep: %u threads, %zu cells)\n\n",
@@ -36,9 +36,9 @@ int main() {
   std::size_t next = 0;
   for (std::int64_t bytes : eval::paper_message_sizes()) {
     std::printf("%8lld |", static_cast<long long>(bytes) / 1024);
-    for (int i = 0; i < 3; ++i) std::printf(" %9.2f", ms[next++].value());
+    for (int i = 0; i < 3; ++i) std::printf(" %9.2f", ms[next++].tpl_ms);
     std::printf(" |");
-    for (int i = 0; i < 2; ++i) std::printf(" %9.2f", ms[next++].value());
+    for (int i = 0; i < 2; ++i) std::printf(" %9.2f", ms[next++].tpl_ms);
     std::printf("\n");
   }
   std::printf("\nExpected shape (paper): p4 best, Express worst on Ethernet; the\n"

@@ -12,7 +12,7 @@
 
 #include "apps/jpeg/codec.hpp"
 #include "eval/apl.hpp"
-#include "eval/sweep.hpp"
+#include "eval/cell.hpp"
 #include "kernels/dct.hpp"
 #include "kernels/dispatch.hpp"
 #include "kernels/fft.hpp"
@@ -142,11 +142,8 @@ void BM_SortRadix(benchmark::State& state) {
 BENCHMARK(BM_SortRadix)->Arg(62'500)->Arg(500'000);
 
 // ---------------------------------------------------------------------------
-// Monte Carlo: the ablation that went the other way. The fused loop (ref
-// shape, production path) beats the batched variant because the splitmix
-// RNG carries no long dependency chain -- divides already overlap across
-// iterations, so batching only adds memory traffic. Kept measured so the
-// finding stays visible.
+// Monte Carlo: the fused production loop against the reference. (Batching
+// the draws measured slower; see EXPERIMENTS.md.)
 
 void BM_McRef(benchmark::State& state) {
   for (auto _ : state) {
@@ -163,17 +160,6 @@ void BM_McKernel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_McKernel)->Arg(100'000);
-
-void BM_McBatchedAblation(benchmark::State& state) {
-  kernels::force_scalar(state.range(1) != 0);
-  for (auto _ : state) {
-    sim::Rng rng(kSeed);
-    benchmark::DoNotOptimize(kernels::inv_quad_sum_batched(rng, state.range(0)));
-  }
-  state.SetLabel(kernels::to_string(kernels::active_isa()));
-  kernels::force_scalar(false);
-}
-BENCHMARK(BM_McBatchedAblation)->Args({100'000, 1})->Args({100'000, 0});
 
 // ---------------------------------------------------------------------------
 // Matmul: (jj, kk) cache blocking vs plain i-k-j.
@@ -221,15 +207,15 @@ void BM_JpegAplCell(benchmark::State& state) {
 BENCHMARK(BM_JpegAplCell)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void BM_AppSweepHostStats(benchmark::State& state) {
-  std::vector<eval::AppCell> cells;
+  std::vector<eval::CellSpec> cells;
   for (eval::AppKind app : eval::all_apps()) {
     for (int procs : {1, 4}) {
-      cells.push_back({host::PlatformId::AlphaFddi, mp::ToolKind::P4, app, procs});
+      const eval::AppCell cell{host::PlatformId::AlphaFddi, mp::ToolKind::P4, app, procs};
+      cells.push_back(eval::CellSpec::of(cell));
     }
   }
-  const eval::AplConfig cfg;
   for (auto _ : state) {
-    auto s = eval::sweep_app_s(cells, cfg, 1);
+    auto s = eval::sweep(cells, 1);
     benchmark::DoNotOptimize(s.data());
   }
   const auto stats = eval::last_sweep_host_stats();

@@ -11,7 +11,7 @@
 #include <numeric>
 #include <vector>
 
-#include "eval/sweep.hpp"
+#include "eval/cell.hpp"
 #include "eval/tpl.hpp"
 #include "mp/api.hpp"
 #include "mp/buffer_pool.hpp"
@@ -275,18 +275,19 @@ BENCHMARK(BM_Table3Cell);
 // tops out at the machine's core count, while results stay bit-identical.
 void BM_SweepTable3(benchmark::State& state) {
   const auto threads = static_cast<unsigned>(state.range(0));
-  std::vector<eval::TplCell> cells;
+  std::vector<eval::CellSpec> cells;
   for (std::int64_t bytes : eval::paper_message_sizes()) {
     for (mp::ToolKind tool : {mp::ToolKind::Pvm, mp::ToolKind::P4, mp::ToolKind::Express}) {
       for (host::PlatformId p : {host::PlatformId::SunEthernet, host::PlatformId::SunAtmLan,
                                  host::PlatformId::SunAtmWan}) {
         if (tool == mp::ToolKind::Express && p == host::PlatformId::SunAtmWan) continue;
-        cells.push_back({eval::Primitive::SendRecv, p, tool, bytes, 2, 0});
+        cells.push_back(
+            eval::CellSpec::of(eval::TplCell{eval::Primitive::SendRecv, p, tool, bytes, 2, 0}));
       }
     }
   }
   for (auto _ : state) {
-    auto ms = eval::sweep_tpl_ms(cells, threads);
+    auto ms = eval::sweep(cells, threads);
     benchmark::DoNotOptimize(ms.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(cells.size()));

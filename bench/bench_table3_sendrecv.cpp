@@ -9,8 +9,8 @@
 #include <cstdio>
 #include <vector>
 
+#include "eval/cell.hpp"
 #include "eval/paper_data.hpp"
-#include "eval/sweep.hpp"
 #include "eval/tpl.hpp"
 
 int main() {
@@ -27,17 +27,18 @@ int main() {
 
   // Build the cell grid in print order, sweep it, then consume in the same
   // order while printing.
-  std::vector<eval::TplCell> cells;
+  std::vector<eval::CellSpec> cells;
   for (std::int64_t bytes : eval::paper_message_sizes()) {
     for (ToolKind tool : tools) {
       for (PlatformId p : platforms) {
         if (measured(tool, p)) {
-          cells.push_back({eval::Primitive::SendRecv, p, tool, bytes, 2, 0});
+          cells.push_back(
+              eval::CellSpec::of(eval::TplCell{eval::Primitive::SendRecv, p, tool, bytes, 2, 0}));
         }
       }
     }
   }
-  const std::vector<std::optional<double>> ms = eval::sweep_tpl_ms(cells);
+  const std::vector<eval::CellResult> ms = eval::sweep(cells);
 
   std::printf("Table 3: snd/recv timing for SUN SPARCstations (milliseconds)\n");
   std::printf("sim = this reproduction, paper = Hariri et al. 1995"
@@ -55,7 +56,7 @@ int main() {
     for (ToolKind tool : tools) {
       for (PlatformId p : platforms) {
         if (measured(tool, p)) {
-          std::printf(" %8.2f", ms[next++].value());
+          std::printf(" %8.2f", ms[next++].tpl_ms);
         } else {
           std::printf(" %7s", "-");
         }

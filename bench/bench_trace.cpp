@@ -9,7 +9,6 @@
 
 #include <cstdint>
 
-#include "eval/sweep.hpp"
 #include "eval/trace_cell.hpp"
 #include "trace/analyze.hpp"
 #include "trace/export.hpp"
@@ -66,11 +65,11 @@ void BM_TraceEmitNoSink(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
-eval::TplCell bench_cell() {
+eval::CellSpec bench_cell() {
   eval::TplCell cell;
   cell.primitive = eval::Primitive::SendRecv;
   cell.bytes = 4096;
-  return cell;
+  return eval::CellSpec::of(cell);
 }
 
 // Baseline: the Table-3 send/recv cell exactly as the sweep runs it. In the
@@ -80,8 +79,8 @@ eval::TplCell bench_cell() {
 void BM_TplCellUntraced(benchmark::State& state) {
   const auto cell = bench_cell();
   for (auto _ : state) {
-    auto ms = eval::tpl_cell_ms(cell);
-    benchmark::DoNotOptimize(ms);
+    auto result = eval::run_cell(cell);
+    benchmark::DoNotOptimize(result);
   }
 }
 
@@ -92,7 +91,7 @@ void BM_TplCellTraced(benchmark::State& state) {
   const auto cell = bench_cell();
   std::uint64_t emitted = 0;
   for (auto _ : state) {
-    auto traced = eval::tpl_cell_traced(cell);
+    auto traced = eval::run_cell_traced(cell);
     emitted += traced.stats.emitted;
     benchmark::DoNotOptimize(traced);
   }
@@ -105,7 +104,7 @@ void BM_TplCellTraced(benchmark::State& state) {
 // Post-run analysis + export cost over a real captured stream (ON build) or
 // an empty one (OFF build) -- bounds what `pdctrace --report --json` adds.
 void BM_TraceAnalyzeAndExport(benchmark::State& state) {
-  const auto traced = eval::tpl_cell_traced(bench_cell());
+  const auto traced = eval::run_cell_traced(bench_cell());
   for (auto _ : state) {
     auto report = trace::text_report(traced.records);
     auto json = trace::export_perfetto_json(traced.records);

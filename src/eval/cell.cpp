@@ -462,6 +462,13 @@ CellResult run_cell(const CellSpec& spec) {
   return res;
 }
 
+std::vector<CellResult> sweep(std::span<const CellSpec> specs, unsigned threads) {
+  std::vector<CellResult> out(specs.size());
+  parallel_for_index(specs.size(), threads,
+                     [&](std::size_t i) { out[i] = run_cell(specs[i]); });
+  return out;
+}
+
 std::vector<CellSpec> table3_grid() {
   std::vector<CellSpec> grid;
   for (const host::PlatformId platform : host::all_platforms()) {

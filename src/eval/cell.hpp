@@ -127,6 +127,13 @@ struct CellResult {
 /// with the exception text, which the store caches negatively.
 [[nodiscard]] CellResult run_cell(const CellSpec& spec);
 
+/// Run every cell across `threads` workers (see sweep_threads), each
+/// result at its cell's index, so the output is element-for-element
+/// identical to a serial run_cell loop at any width. Never throws: a
+/// failing cell is Status::Error in its own slot.
+[[nodiscard]] std::vector<CellResult> sweep(std::span<const CellSpec> specs,
+                                            unsigned threads = 0);
+
 /// The paper's Table 3 send/receive grid as cell specs: every tool x
 /// platform x paper message size. The canonical warm-up sweep for the
 /// evaluation service (pdceval --warm table3).

@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "eval/sweep.hpp"
 #include "mp/api.hpp"
 #include "mp/communicator.hpp"
 #include "mp/message.hpp"
@@ -123,14 +122,6 @@ SchedCellOutcome run_sched_cell(const SchedCell& cell) {
     if (makespan_ms > 0.0) g.goodput = g.node_millis / makespan_ms;
     out.per_tool.push_back(g);
   }
-  return out;
-}
-
-std::vector<SchedCellOutcome> sweep_sched(const std::vector<SchedCell>& cells,
-                                          unsigned threads) {
-  std::vector<SchedCellOutcome> out(cells.size());
-  parallel_for_index(cells.size(), threads,
-                     [&](std::size_t i) { out[i] = run_sched_cell(cells[i]); });
   return out;
 }
 

@@ -55,9 +55,4 @@ struct SchedCellOutcome {
 /// goodput.
 [[nodiscard]] SchedCellOutcome run_sched_cell(const SchedCell& cell);
 
-/// Run many cells, fanned out like every other sweep (PDC_SWEEP_THREADS;
-/// output order matches input order regardless of thread count).
-[[nodiscard]] std::vector<SchedCellOutcome> sweep_sched(const std::vector<SchedCell>& cells,
-                                                        unsigned threads = 0);
-
 }  // namespace pdc::eval

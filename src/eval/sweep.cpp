@@ -19,18 +19,17 @@ namespace pdc::eval {
 
 namespace {
 
-// Per-sweep telemetry collector. Each parallel_for_index call owns one,
-// workers fold their thread-local deltas into it under its mutex (once per
-// worker per sweep, so contention is irrelevant), and the submitter
-// publishes the totals into its *own* thread-local snapshot when the sweep
-// drains. The accessors below read that snapshot, so concurrent sweeps
-// submitted from different threads (the evaluation daemon batching misses
-// for several clients at once) each see exactly their own sweep's numbers
-// -- the seed implementation kept one global aggregate, which raced.
-// All folded fields are order-independent sums, hence thread-count-
+// One sweep's telemetry totals. parallel_for_index owns one as its
+// collector: workers fold their thread-local deltas into it under a mutex
+// (once per worker per sweep, so contention is irrelevant), and the
+// submitter publishes the totals into its *own* thread-local snapshot when
+// the sweep drains. The accessors below read that snapshot, so concurrent
+// sweeps submitted from different threads (the evaluation daemon batching
+// misses for several clients at once) each see exactly their own sweep's
+// numbers -- the seed implementation kept one global aggregate, which
+// raced. All folded fields are order-independent sums, hence thread-count-
 // independent.
-struct SweepTelemetry {
-  std::mutex mu;
+struct SweepTotals {
   SweepPoolStats pool;
   SweepFaultStats fault;
   SweepMailboxStats mailbox;
@@ -41,51 +40,62 @@ struct SweepTelemetry {
 // (an app cell that itself sweeps, run inline on a worker) publishes on
 // the worker's thread, never the submitter's, so it cannot clobber the
 // owning sweep's snapshot.
-struct TelemetrySnapshot {
-  SweepPoolStats pool;
-  SweepFaultStats fault;
-  SweepMailboxStats mailbox;
-  SweepHostStats host;
-};
-thread_local TelemetrySnapshot t_last_sweep;
+thread_local SweepTotals t_last_sweep;
 
 // One sweep owns the worker pool at a time; nested/concurrent callers fall
 // back to inline serial execution (see parallel_for_index).
 std::mutex g_sweep_mu;
 
-void fold_mailbox_delta(SweepTelemetry& col, const mp::MailboxTelemetry& before) {
-  const auto& now = mp::mailbox_accumulator();
-  const std::scoped_lock lock(col.mu);
-  col.mailbox.pushes += now.pushes - before.pushes;
-  col.mailbox.matches += now.matches - before.matches;
-  col.mailbox.items_scanned += now.items_scanned - before.items_scanned;
-  col.mailbox.peak_depth_sum += now.peak_depth_sum - before.peak_depth_sum;
+// This thread's cumulative layer counters in the totals' shape (the
+// per-cell wall split is timed by the worker loop, not read here).
+SweepTotals thread_counters() {
+  SweepTotals t;
+  t.pool = mp::BufferPool::local().stats();
+  t.fault = mp::transport_accumulator();
+  t.mailbox = mp::mailbox_accumulator();
+  const auto work = kernels::host_work();
+  const auto arena = kernels::Arena::local().stats();
+  t.host.app_ns = work.app_ns;
+  t.host.kernel_calls = work.calls;
+  t.host.arena_takes = arena.takes;
+  t.host.arena_grows = arena.grows;
+  t.host.arena_bytes = arena.bytes_reserved;
+  return t;
 }
 
-void fold_pool_delta(SweepTelemetry& col, const mp::BufferPool::Stats& before,
-                     const mp::FaultTelemetry& fault_before) {
-  const auto& now = mp::BufferPool::local().stats();
+// col += now - before, field by field (every counter is monotonic per
+// thread, so each difference is this worker's share of the sweep).
+void fold_delta(SweepTotals& col, const SweepTotals& before, const SweepTotals& now) {
+  col.pool.hits += now.pool.hits - before.pool.hits;
+  col.pool.misses += now.pool.misses - before.pool.misses;
+  col.pool.releases += now.pool.releases - before.pool.releases;
+  col.pool.discards += now.pool.discards - before.pool.discards;
+  col.pool.bytes_recycled += now.pool.bytes_recycled - before.pool.bytes_recycled;
 
-  mp::FaultTelemetry delta = mp::transport_accumulator();
-  delta.transport.retransmits -= fault_before.transport.retransmits;
-  delta.transport.drops_seen -= fault_before.transport.drops_seen;
-  delta.transport.corrupt_rejected -= fault_before.transport.corrupt_rejected;
-  delta.transport.dup_discarded -= fault_before.transport.dup_discarded;
-  delta.injected.frames -= fault_before.injected.frames;
-  delta.injected.drops -= fault_before.injected.drops;
-  delta.injected.flap_drops -= fault_before.injected.flap_drops;
-  delta.injected.corruptions -= fault_before.injected.corruptions;
-  delta.injected.duplicates -= fault_before.injected.duplicates;
-  delta.injected.reorders -= fault_before.injected.reorders;
+  mp::TransportStats& t = col.fault.transport;
+  t.retransmits += now.fault.transport.retransmits - before.fault.transport.retransmits;
+  t.drops_seen += now.fault.transport.drops_seen - before.fault.transport.drops_seen;
+  t.corrupt_rejected +=
+      now.fault.transport.corrupt_rejected - before.fault.transport.corrupt_rejected;
+  t.dup_discarded += now.fault.transport.dup_discarded - before.fault.transport.dup_discarded;
+  fault::InjectionStats& f = col.fault.injected;
+  f.frames += now.fault.injected.frames - before.fault.injected.frames;
+  f.drops += now.fault.injected.drops - before.fault.injected.drops;
+  f.flap_drops += now.fault.injected.flap_drops - before.fault.injected.flap_drops;
+  f.corruptions += now.fault.injected.corruptions - before.fault.injected.corruptions;
+  f.duplicates += now.fault.injected.duplicates - before.fault.injected.duplicates;
+  f.reorders += now.fault.injected.reorders - before.fault.injected.reorders;
 
-  const std::scoped_lock lock(col.mu);
-  col.pool.hits += now.hits - before.hits;
-  col.pool.misses += now.misses - before.misses;
-  col.pool.releases += now.releases - before.releases;
-  col.pool.discards += now.discards - before.discards;
-  col.pool.bytes_recycled += now.bytes_recycled - before.bytes_recycled;
-  col.fault.transport += delta.transport;
-  col.fault.injected += delta.injected;
+  col.mailbox.pushes += now.mailbox.pushes - before.mailbox.pushes;
+  col.mailbox.matches += now.mailbox.matches - before.mailbox.matches;
+  col.mailbox.items_scanned += now.mailbox.items_scanned - before.mailbox.items_scanned;
+  col.mailbox.peak_depth_sum += now.mailbox.peak_depth_sum - before.mailbox.peak_depth_sum;
+
+  col.host.app_ns += now.host.app_ns - before.host.app_ns;
+  col.host.kernel_calls += now.host.kernel_calls - before.host.kernel_calls;
+  col.host.arena_takes += now.host.arena_takes - before.host.arena_takes;
+  col.host.arena_grows += now.host.arena_grows - before.host.arena_grows;
+  col.host.arena_bytes += now.host.arena_bytes - before.host.arena_bytes;
 }
 
 /// Persistent sweep worker pool. The seed implementation spawned and
@@ -217,7 +227,8 @@ void parallel_for_index(std::size_t n, unsigned threads,
   // sweep's totals: the outer worker's before/after delta brackets it.)
   std::unique_lock<std::mutex> owner(g_sweep_mu, std::try_to_lock);
 
-  SweepTelemetry col;
+  SweepTotals col;
+  std::mutex col_mu;
   const std::size_t workers =
       owner.owns_lock()
           ? std::min<std::size_t>(n, static_cast<std::size_t>(sweep_threads(threads)))
@@ -227,11 +238,7 @@ void parallel_for_index(std::size_t n, unsigned threads,
   std::atomic<bool> failed{false};
   std::vector<std::exception_ptr> errors(n);
   const std::function<void()> worker = [&]() noexcept {
-    const auto pool_before = mp::BufferPool::local().stats();
-    const auto fault_before = mp::transport_accumulator();
-    const auto mailbox_before = mp::mailbox_accumulator();
-    const auto work_before = kernels::host_work();
-    const auto arena_before = kernels::Arena::local().stats();
+    const SweepTotals before = thread_counters();
     std::uint64_t cells = 0;
     std::uint64_t wall_ns = 0;
     for (;;) {
@@ -250,18 +257,11 @@ void parallel_for_index(std::size_t n, unsigned threads,
               .count());
       ++cells;
     }
-    fold_pool_delta(col, pool_before, fault_before);
-    fold_mailbox_delta(col, mailbox_before);
-    const auto work_now = kernels::host_work();
-    const auto arena_now = kernels::Arena::local().stats();
-    const std::scoped_lock lock(col.mu);
+    const SweepTotals now = thread_counters();
+    const std::scoped_lock lock(col_mu);
+    fold_delta(col, before, now);
     col.host.cells += cells;
     col.host.wall_ns += wall_ns;
-    col.host.app_ns += work_now.app_ns - work_before.app_ns;
-    col.host.kernel_calls += work_now.calls - work_before.calls;
-    col.host.arena_takes += arena_now.takes - arena_before.takes;
-    col.host.arena_grows += arena_now.grows - arena_before.grows;
-    col.host.arena_bytes += arena_now.bytes_reserved - arena_before.bytes_reserved;
   };
 
   if (workers <= 1) {
@@ -273,7 +273,7 @@ void parallel_for_index(std::size_t n, unsigned threads,
   // Publish this sweep's totals on the submitting thread. run_on's drain
   // barrier (and the serial path trivially) gives the happens-before edge
   // from every worker's fold to this read.
-  t_last_sweep = {col.pool, col.fault, col.mailbox, col.host};
+  t_last_sweep = col;
 
   if (failed.load(std::memory_order_relaxed)) {
     for (auto& e : errors) {
@@ -298,20 +298,8 @@ std::optional<double> tpl_cell_ms(const TplCell& cell) {
   throw std::logic_error("tpl_cell_ms: unknown primitive");
 }
 
-std::vector<std::optional<double>> sweep_tpl_ms(const std::vector<TplCell>& cells,
-                                                unsigned threads) {
-  return parallel_map<std::optional<double>>(
-      cells.size(), [&](std::size_t i) { return tpl_cell_ms(cells[i]); }, threads);
-}
-
 double app_cell_s(const AppCell& cell, const AplConfig& cfg) {
   return app_time_s(cell.platform, cell.tool, cell.app, cell.procs, cfg, cell.faults);
-}
-
-std::vector<double> sweep_app_s(const std::vector<AppCell>& cells, const AplConfig& cfg,
-                                unsigned threads) {
-  return parallel_map<double>(
-      cells.size(), [&](std::size_t i) { return app_cell_s(cells[i], cfg); }, threads);
 }
 
 }  // namespace pdc::eval

@@ -19,7 +19,8 @@
 #include "eval/tpl.hpp"
 #include "fault/plan.hpp"
 #include "host/platform.hpp"
-#include "mp/runtime.hpp"
+#include "mp/api.hpp"
+#include "mp/buffer_pool.hpp"
 #include "mp/tool.hpp"
 
 namespace pdc::eval {
@@ -51,63 +52,39 @@ void parallel_for_index(std::size_t n, unsigned threads,
                         const std::function<void(std::size_t)>& body);
 
 /// Aggregated mp::BufferPool activity across every worker of the most
-/// recent parallel_for_index / sweep_* call *submitted from the calling
+/// recent parallel_for_index / sweep call *submitted from the calling
 /// thread*. Each sweep owns its own collector and publishes its totals to
 /// the submitter's thread-local snapshot when it drains, so concurrent
 /// sweeps from different threads (the evaluation daemon serving several
 /// clients) each read exactly their own numbers -- the accessors below all
 /// share this per-request scoping. Hit rate here is the fleet-wide payload
 /// recycling rate the benches report.
-struct SweepPoolStats {
-  std::uint64_t hits{0};
-  std::uint64_t misses{0};
-  std::uint64_t releases{0};
-  std::uint64_t discards{0};
-  std::uint64_t bytes_recycled{0};
-
-  [[nodiscard]] double hit_rate() const noexcept {
-    const auto total = hits + misses;
-    return total > 0 ? static_cast<double>(hits) / static_cast<double>(total) : 0.0;
-  }
-};
+using SweepPoolStats = mp::BufferPool::Stats;
 [[nodiscard]] SweepPoolStats last_sweep_pool_stats();
 
 /// Aggregated fault-injection + reliable-transport activity across every
-/// worker of the most recent parallel_for_index / sweep_* call submitted
-/// from the calling thread. All zero for a sweep of fault-free cells. The
-/// totals are order-independent sums, so they are identical for any thread
-/// count -- the determinism test pins that.
-struct SweepFaultStats {
-  mp::TransportStats transport{};
-  fault::InjectionStats injected{};
-};
+/// worker of the most recent sweep submitted from the calling thread. All
+/// zero for a sweep of fault-free cells. The totals are order-independent
+/// sums, so they are identical for any thread count -- the determinism
+/// test pins that.
+using SweepFaultStats = mp::FaultTelemetry;
 [[nodiscard]] SweepFaultStats last_sweep_fault_stats();
 
 /// Aggregated mailbox matching telemetry across every worker of the most
-/// recent parallel_for_index / sweep_* call submitted from the calling
-/// thread. `items_scanned / matches` near 1 is the O(active) matching
-/// signal; `peak_depth_sum` adds up each cell's peak unmatched-queue depth
-/// (a sum, not a max, so totals stay order- and thread-count-independent).
-struct SweepMailboxStats {
-  std::uint64_t pushes{0};
-  std::uint64_t matches{0};
-  std::uint64_t items_scanned{0};
-  std::uint64_t peak_depth_sum{0};
-
-  [[nodiscard]] double scans_per_match() const noexcept {
-    return matches > 0 ? static_cast<double>(items_scanned) / static_cast<double>(matches)
-                       : 0.0;
-  }
-};
+/// recent sweep submitted from the calling thread. `scans_per_match()`
+/// near 1 is the O(active) matching signal; `peak_depth_sum` adds up each
+/// cell's peak unmatched-queue depth (a sum, not a max, so totals stay
+/// order- and thread-count-independent).
+using SweepMailboxStats = mp::MailboxTelemetry;
 [[nodiscard]] SweepMailboxStats last_sweep_mailbox_stats();
 
-/// Host-work telemetry for the most recent parallel_for_index / sweep_*
-/// call submitted from the calling thread: where the *host's* wall-clock
-/// went, split into real application
-/// compute (the kernels layer's ScopedHostWork probes: DCT, FFT, sort,
-/// MC batches) versus everything else (simulation bookkeeping, scheduling,
-/// packing). Per-cell wall times are measured on the worker that ran the
-/// cell and summed, so `wall_ns` is total cell-seconds, not elapsed time.
+/// Host-work telemetry for the most recent sweep submitted from the
+/// calling thread: where the *host's* wall-clock went, split into real
+/// application compute (the kernels layer's ScopedHostWork probes: DCT,
+/// FFT, sort, MC batches) versus everything else (simulation bookkeeping,
+/// scheduling, packing). Per-cell wall times are measured on the worker
+/// that ran the cell and summed, so `wall_ns` is total cell-seconds, not
+/// elapsed time.
 /// Arena counters come from the kernels' scratch arenas: `arena_grows`
 /// staying flat across sweeps is the "no steady-state allocation" signal.
 struct SweepHostStats {
@@ -130,14 +107,6 @@ struct SweepHostStats {
 };
 [[nodiscard]] SweepHostStats last_sweep_host_stats();
 
-/// Map i -> fn(i) over [0, n), results in index order.
-template <typename R, typename Fn>
-[[nodiscard]] std::vector<R> parallel_map(std::size_t n, Fn&& fn, unsigned threads = 0) {
-  std::vector<R> out(n);
-  parallel_for_index(n, threads, [&](std::size_t i) { out[i] = fn(i); });
-  return out;
-}
-
 /// One TPL grid cell: a primitive measured on (platform, tool, msg_size,
 /// procs). `global_sum_ints` is the vector length for GlobalSum cells;
 /// `faults` (default: disabled, bit-identical to fault-free) adds the
@@ -156,10 +125,6 @@ struct TplCell {
 /// tool lacks the primitive (PVM's global sum).
 [[nodiscard]] std::optional<double> tpl_cell_ms(const TplCell& cell);
 
-/// Measure a whole grid, fanned across threads, results in cell order.
-[[nodiscard]] std::vector<std::optional<double>> sweep_tpl_ms(
-    const std::vector<TplCell>& cells, unsigned threads = 0);
-
 /// One APL grid cell: an application on (platform, tool, procs), optionally
 /// under a fault plan.
 struct AppCell {
@@ -172,10 +137,5 @@ struct AppCell {
 
 /// Measure one cell serially (simulated seconds).
 [[nodiscard]] double app_cell_s(const AppCell& cell, const AplConfig& cfg = {});
-
-/// Measure a whole application grid, fanned across threads, in cell order.
-[[nodiscard]] std::vector<double> sweep_app_s(const std::vector<AppCell>& cells,
-                                              const AplConfig& cfg = {},
-                                              unsigned threads = 0);
 
 }  // namespace pdc::eval

@@ -4,36 +4,20 @@ namespace pdc::eval {
 
 // With the probes compiled out no record can ever arrive, so the capture
 // skips the ring allocation entirely (the default capacity is a multi-MB
-// buffer) and just runs the cell -- same timing, empty stream.
-
-TracedTplCell tpl_cell_traced(const TplCell& cell, const TraceCapture& opt) {
-  TracedTplCell out;
+// buffer) and just runs the cell -- same result, empty stream.
+TracedCell run_cell_traced(const CellSpec& spec, const TraceCapture& opt) {
+  TracedCell out;
   if constexpr (!trace_compiled_in()) {
-    out.ms = tpl_cell_ms(cell);
+    out.result = run_cell(spec);
     return out;
   }
   trace::Sink sink(opt.capacity, opt.mask);
   {
     const trace::ScopedCapture capture(sink);
-    out.ms = tpl_cell_ms(cell);
+    out.result = run_cell(spec);
   }
-  out.records = sink.snapshot();
-  out.stats = sink.stats();
-  return out;
-}
-
-TracedAppCell app_cell_traced(const AppCell& cell, const AplConfig& cfg,
-                              const TraceCapture& opt) {
-  TracedAppCell out;
-  if constexpr (!trace_compiled_in()) {
-    out.seconds = app_cell_s(cell, cfg);
-    return out;
-  }
-  trace::Sink sink(opt.capacity, opt.mask);
-  {
-    const trace::ScopedCapture capture(sink);
-    out.seconds = app_cell_s(cell, cfg);
-  }
+  out.capacity = sink.capacity();
+  if (out.result.status == CellStatus::Error) return out;
   out.records = sink.snapshot();
   out.stats = sink.stats();
   return out;

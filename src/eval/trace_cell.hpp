@@ -1,19 +1,19 @@
 // pdceval -- traced re-runs of individual sweep cells.
 //
-// Any (tool, platform, primitive/app, size, procs) cell of the evaluation
-// grid can be re-run with a trace capture installed: the cell executes
-// exactly as in the sweep (same Simulation, same seed, same fault plan) and
-// the returned record stream describes it event-by-event. With tracing
-// compiled out (PDC_TRACE=OFF, the default) these entry points still run
-// the cell and return the same timing -- the record vector is just empty
-// and `enabled` is false, so callers (the pdctrace CLI, tests) degrade
-// gracefully rather than fork their logic on the build flavour.
+// Any cell of the evaluation grid (TPL, APL or scheduler) can be re-run
+// with a trace capture installed: the cell executes exactly as run_cell
+// runs it (same Simulation, same seed, same fault plan) and the returned
+// record stream describes it event-by-event. With tracing compiled out
+// (PDC_TRACE=OFF, the default) run_cell_traced still runs the cell and
+// returns the same result -- the record vector is just empty -- so callers
+// (the pdctrace CLI, tests) degrade gracefully rather than fork their
+// logic on the build flavour.
 #pragma once
 
-#include <optional>
+#include <cstddef>
 #include <vector>
 
-#include "eval/sweep.hpp"
+#include "eval/cell.hpp"
 #include "trace/record.hpp"
 #include "trace/sink.hpp"
 
@@ -34,25 +34,16 @@ struct TraceCapture {
 #endif
 }
 
-struct TracedTplCell {
-  std::optional<double> ms;            ///< same value tpl_cell_ms returns
+struct TracedCell {
+  CellResult result;                   ///< the bytes run_cell returns
   std::vector<trace::Record> records;  ///< empty when probes are compiled out
   trace::SinkStats stats;
+  std::size_t capacity{0};  ///< ring slots allocated (0 when compiled out)
 };
 
-struct TracedAppCell {
-  double seconds{0.0};                 ///< same value app_cell_s returns
-  std::vector<trace::Record> records;
-  trace::SinkStats stats;
-};
-
-/// Run one TPL cell with a capture installed on this thread.
-[[nodiscard]] TracedTplCell tpl_cell_traced(const TplCell& cell,
-                                            const TraceCapture& opt = {});
-
-/// Run one APL cell with a capture installed on this thread.
-[[nodiscard]] TracedAppCell app_cell_traced(const AppCell& cell,
-                                            const AplConfig& cfg = {},
-                                            const TraceCapture& opt = {});
+/// Run one cell of any kind with a capture installed on this thread. Like
+/// run_cell, an infeasible spec comes back as Status::Error, here with an
+/// empty record stream; only allocating the capture ring can throw.
+[[nodiscard]] TracedCell run_cell_traced(const CellSpec& spec, const TraceCapture& opt = {});
 
 }  // namespace pdc::eval

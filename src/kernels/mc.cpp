@@ -1,25 +1,13 @@
 #include "kernels/mc.hpp"
 
-#include <algorithm>
-
-#include "kernels/dispatch.hpp"
 #include "kernels/hostwork.hpp"
-#include "kernels/simd_avx2.hpp"
 
 namespace pdc::kernels {
-
-namespace {
-
-void inv_quad_scalar(const double* x2, double* f, int n) noexcept {
-  for (int i = 0; i < n; ++i) f[i] = 4.0 / (1.0 + x2[i]);
-}
-
-}  // namespace
 
 double inv_quad_sum(sim::Rng& rng, std::int64_t count) {
   const ScopedHostWork probe;
   // Fused per-sample loop, same shape as the reference -- measured fastest
-  // (see mc.hpp and BM_Mc* in bench_kernels). The independent work per
+  // (see mc.hpp and EXPERIMENTS.md). The independent work per
   // iteration (state mix, square, divide) pipelines across iterations in
   // the out-of-order core; only the sum chain is serial, and that chain is
   // mandatory under the order-preserving contract.
@@ -27,29 +15,6 @@ double inv_quad_sum(sim::Rng& rng, std::int64_t count) {
   for (std::int64_t i = 0; i < count; ++i) {
     const double x = rng.next_double();
     sum += 4.0 / (1.0 + x * x);
-  }
-  return sum;
-}
-
-double inv_quad_sum_batched(sim::Rng& rng, std::int64_t count) {
-  const ScopedHostWork probe;
-  constexpr int kBatch = 256;
-  double x2[kBatch];
-  double f[kBatch];
-  auto* eval = inv_quad_scalar;
-#if defined(PDC_HAVE_AVX2)
-  if (active_isa() == Isa::Avx2) eval = detail::inv_quad_avx2;
-#endif
-  double sum = 0.0;
-  while (count > 0) {
-    const int b = static_cast<int>(std::min<std::int64_t>(kBatch, count));
-    for (int i = 0; i < b; ++i) {
-      const double x = rng.next_double();
-      x2[i] = x * x;
-    }
-    eval(x2, f, b);
-    for (int i = 0; i < b; ++i) sum += f[i];
-    count -= b;
   }
   return sum;
 }

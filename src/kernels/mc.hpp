@@ -1,27 +1,15 @@
 // pdceval -- Monte Carlo sample evaluation kernel.
 //
-// Two bit-identical implementations, kept because the measurement between
-// them is itself a finding (see BM_Mc* in bench_kernels):
+// The fused per-sample loop, same shape as the reference. sim::Rng is a
+// splitmix-style generator whose state update is a single add, so
+// consecutive draws carry no long dependency chain -- the out-of-order core
+// already overlaps each sample's divide with its neighbours', leaving the
+// (mandatory) serial sum chain as the only bound. Batching the divides
+// (per 256-draw batch, 4-wide under AVX2) measured slower; see
+// EXPERIMENTS.md.
 //
-//   inv_quad_sum          The production path: the fused per-sample loop,
-//                         same shape as the reference. sim::Rng is a
-//                         splitmix-style generator whose state update is a
-//                         single add, so consecutive draws carry no long
-//                         dependency chain -- the out-of-order core already
-//                         overlaps each sample's divide with its
-//                         neighbours', leaving the (mandatory) serial sum
-//                         chain as the only bound. Measured fastest.
-//
-//   inv_quad_sum_batched  The ablation: stack-buffered batches of 256
-//                         draws, divides evaluated per batch (4-wide under
-//                         AVX2, where IEEE-correctly-rounded vdivpd equals
-//                         scalar divsd exactly), then folded in draw order.
-//                         Bit-identical, but measurably SLOWER than the
-//                         fused loop: the extra stores/loads buy nothing
-//                         because the divides were never the bottleneck.
-//
-// Per-sample values and accumulation order match the reference exactly in
-// both, so results are bit-identical everywhere.
+// Per-sample values and accumulation order match the reference exactly, so
+// results are bit-identical everywhere.
 #pragma once
 
 #include <cstdint>
@@ -33,9 +21,5 @@ namespace pdc::kernels {
 /// sum of 4/(1 + x_i^2) over `count` sequential draws from `rng`;
 /// bit-identical to kernels::ref::inv_quad_sum.
 [[nodiscard]] double inv_quad_sum(sim::Rng& rng, std::int64_t count);
-
-/// Batched ablation variant (see file comment); bit-identical, dispatched
-/// scalar/AVX2. Benchmarked, not used on the production path.
-[[nodiscard]] double inv_quad_sum_batched(sim::Rng& rng, std::int64_t count);
 
 }  // namespace pdc::kernels

@@ -80,17 +80,6 @@ void inverse_dct_avx2(const double in[kDctBlock][kDctBlock],
   }
 }
 
-void inv_quad_avx2(const double* x2, double* f, int n) noexcept {
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d four = _mm256_set1_pd(4.0);
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d d = _mm256_add_pd(one, _mm256_loadu_pd(x2 + i));
-    _mm256_storeu_pd(f + i, _mm256_div_pd(four, d));
-  }
-  for (; i < n; ++i) f[i] = 4.0 / (1.0 + x2[i]);
-}
-
 }  // namespace pdc::kernels::detail
 
 #endif  // PDC_HAVE_AVX2

@@ -17,10 +17,6 @@ void forward_dct_avx2(const double in[kDctBlock][kDctBlock],
 void inverse_dct_avx2(const double in[kDctBlock][kDctBlock],
                       double out[kDctBlock][kDctBlock]) noexcept;
 
-/// f[i] = 4.0 / (1.0 + x2[i]) for i in [0, n). IEEE division is correctly
-/// rounded, so the vector lanes equal the scalar results exactly.
-void inv_quad_avx2(const double* x2, double* f, int n) noexcept;
-
 #endif  // PDC_HAVE_AVX2
 
 }  // namespace pdc::kernels::detail

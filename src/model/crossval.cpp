@@ -13,9 +13,9 @@ namespace pdc::model {
 
 namespace {
 
-[[nodiscard]] eval::TplCell make_cell(mp::ToolKind tool, host::PlatformId platform,
-                                      eval::Primitive primitive, std::int64_t size,
-                                      int procs) {
+[[nodiscard]] eval::CellSpec make_cell(mp::ToolKind tool, host::PlatformId platform,
+                                       eval::Primitive primitive, std::int64_t size,
+                                       int procs) {
   eval::TplCell c;
   c.primitive = primitive;
   c.platform = platform;
@@ -27,7 +27,7 @@ namespace {
   } else {
     c.bytes = size;
   }
-  return c;
+  return eval::CellSpec::of(c);
 }
 
 [[nodiscard]] std::string cell_label(mp::ToolKind tool, host::PlatformId platform,
@@ -55,8 +55,10 @@ void finalize(CellReport& r) {
   r.median_extrapolated_err = median(std::move(extra));
 }
 
+/// The one place a measured result becomes a value: Ok yields its
+/// simulated ms, Unsupported and Error throw.
 [[nodiscard]] std::vector<double> measure_or_throw(const MeasureTpl& measure,
-                                                   const std::vector<eval::TplCell>& cells,
+                                                   const std::vector<eval::CellSpec>& cells,
                                                    const std::string& label) {
   const auto raw = measure(cells);
   if (raw.size() != cells.size()) {
@@ -64,12 +66,15 @@ void finalize(CellReport& r) {
   }
   std::vector<double> out;
   out.reserve(raw.size());
-  for (const auto& v : raw) {
-    if (!v) {
-      throw std::runtime_error("cross-validate " + label +
-                               ": primitive unsupported for this tool");
+  for (const eval::CellResult& r : raw) {
+    switch (r.status) {
+      case eval::CellStatus::Ok: out.push_back(r.tpl_ms); break;
+      case eval::CellStatus::Unsupported:
+        throw std::runtime_error("cross-validate " + label +
+                                 ": primitive unsupported for this tool");
+      case eval::CellStatus::Error:
+        throw std::runtime_error("cross-validate " + label + ": cell error: " + r.error);
     }
-    out.push_back(*v);
   }
   return out;
 }
@@ -79,7 +84,7 @@ void finalize(CellReport& r) {
                                         eval::Primitive primitive, const TrainGrid& train,
                                         const MeasureTpl& measure,
                                         const std::string& label) {
-  std::vector<eval::TplCell> cells;
+  std::vector<eval::CellSpec> cells;
   std::vector<Observation> obs;
   const std::vector<int> procs_axis =
       primitive == eval::Primitive::SendRecv ? std::vector<int>{2} : train.procs;
@@ -101,8 +106,8 @@ void finalize(CellReport& r) {
 }  // namespace
 
 MeasureTpl direct_measure(unsigned threads) {
-  return [threads](const std::vector<eval::TplCell>& cells) {
-    return eval::sweep_tpl_ms(cells, threads);
+  return [threads](const std::vector<eval::CellSpec>& cells) {
+    return eval::sweep(cells, threads);
   };
 }
 
@@ -119,7 +124,7 @@ CellReport cross_validate_primitive(mp::ToolKind tool, host::PlatformId platform
   for (std::int64_t s : train.sizes) max_size = std::max(max_size, s);
   for (int p : train.procs) max_procs = std::max(max_procs, p);
 
-  std::vector<eval::TplCell> cells;
+  std::vector<eval::CellSpec> cells;
   cells.reserve(holdout.size());
   for (const HoldoutPoint& h : holdout) {
     cells.push_back(make_cell(tool, platform, primitive, h.size, h.procs));

@@ -12,24 +12,23 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "eval/sweep.hpp"
+#include "eval/cell.hpp"
 #include "model/model.hpp"
 #include "model/skeleton.hpp"
 
 namespace pdc::model {
 
-/// Where measurements come from: takes a batch of TPL cells, returns
-/// simulated ms per cell in order (nullopt = tool lacks the primitive).
+/// Where measurements come from: takes a batch of TPL cell specs, returns
+/// one result per spec in order (Unsupported = tool lacks the primitive).
 using MeasureTpl =
-    std::function<std::vector<std::optional<double>>(const std::vector<eval::TplCell>&)>;
+    std::function<std::vector<eval::CellResult>(const std::vector<eval::CellSpec>&)>;
 
-/// Measure via eval::sweep_tpl_ms with `threads` workers (0 = resolve
-/// from PDC_SWEEP_THREADS as usual).
+/// Measure via eval::sweep with `threads` workers (0 = resolve from
+/// PDC_SWEEP_THREADS as usual).
 [[nodiscard]] MeasureTpl direct_measure(unsigned threads = 0);
 
 /// Cartesian training grid. `sizes` is bytes for SendRecv / Broadcast /

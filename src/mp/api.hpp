@@ -73,6 +73,11 @@ struct MailboxTelemetry {
   std::uint64_t matches{0};
   std::uint64_t items_scanned{0};
   std::uint64_t peak_depth_sum{0};  ///< sum over runs of per-run peak depth
+
+  [[nodiscard]] double scans_per_match() const noexcept {
+    return matches > 0 ? static_cast<double>(items_scanned) / static_cast<double>(matches)
+                       : 0.0;
+  }
 };
 [[nodiscard]] MailboxTelemetry& mailbox_accumulator() noexcept;
 

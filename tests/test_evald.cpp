@@ -431,21 +431,27 @@ TEST(Framing, WriteFrameRefusesOversizedPayload) {
 TEST(CellArgs, RejectsNonNumericBytesAndProcs) {
   // atoll-style parsing silently turned "abc" into 0, producing a
   // degenerate cell spec instead of a usage error.
-  eval::TplCell tpl;
-  eval::AppCell app;
-  bool is_app = false;
-  EXPECT_TRUE(tools::parse_cell_spec("p4:ethernet:sendrecv:2048:4", tpl, app, is_app));
-  EXPECT_EQ(tpl.bytes, 2048);
-  EXPECT_EQ(tpl.procs, 4);
+  CellSpec spec;
+  EXPECT_TRUE(tools::parse_cell_spec("p4:ethernet:sendrecv:2048:4", spec));
+  EXPECT_EQ(spec.type, eval::CellType::Tpl);
+  EXPECT_EQ(spec.tpl.bytes, 2048);
+  EXPECT_EQ(spec.tpl.procs, 4);
   for (const char* bad :
        {"p4:ethernet:sendrecv:abc", "p4:ethernet:sendrecv:1k:2", "p4:ethernet:sendrecv:12x:2",
         "p4:ethernet:sendrecv:1:abc", "p4:ethernet:sendrecv:1:2x", "p4:ethernet:sendrecv:-1:2",
         "p4:ethernet:sendrecv:1:0", "p4:ethernet:sendrecv:1:-2",
         "p4:ethernet:sendrecv:1:99999999999"}) {
-    EXPECT_FALSE(tools::parse_cell_spec(bad, tpl, app, is_app)) << bad;
+    EXPECT_FALSE(tools::parse_cell_spec(bad, spec)) << bad;
   }
   // Empty trailing fields still mean "keep the defaults".
-  EXPECT_TRUE(tools::parse_cell_spec("p4:ethernet:sendrecv::", tpl, app, is_app));
+  EXPECT_TRUE(tools::parse_cell_spec("p4:ethernet:sendrecv::", spec));
+  // An app name makes it an App cell; tool, platform and procs land there too.
+  EXPECT_TRUE(tools::parse_cell_spec("pvm:fddi:fft::4", spec));
+  EXPECT_EQ(spec.type, eval::CellType::App);
+  EXPECT_EQ(spec.app.app, eval::AppKind::Fft2d);
+  EXPECT_EQ(spec.app.tool, mp::ToolKind::Pvm);
+  EXPECT_EQ(spec.app.platform, host::PlatformId::AlphaFddi);
+  EXPECT_EQ(spec.app.procs, 4);
 
   // The pdcsched / pdctrace / pdceval numeric flags: atoi/atof turned
   // "--procs abc" into 0 and "--drop 1.5" into an exception at run time.

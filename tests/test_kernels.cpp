@@ -22,7 +22,7 @@
 #include "apps/linalg/matmul.hpp"
 #include "apps/mc/montecarlo.hpp"
 #include "apps/sort/psrs.hpp"
-#include "eval/sweep.hpp"
+#include "eval/cell.hpp"
 #include "kernels/arena.hpp"
 #include "kernels/dct.hpp"
 #include "kernels/dispatch.hpp"
@@ -244,10 +244,6 @@ TEST(KernelMc, MatchesReferenceBitForBit) {
       const double got = kernels::inv_quad_sum(rng, count);
       EXPECT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want))
           << "count=" << count;
-      sim::Rng rng2(kSeed);
-      const double batched = kernels::inv_quad_sum_batched(rng2, count);
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(batched), std::bit_cast<std::uint64_t>(want))
-          << "batched count=" << count;
     });
   }
 }
@@ -343,13 +339,12 @@ TEST(KernelHostWork, ProbeChargesWallTime) {
 }
 
 TEST(SweepHostStats, SplitsAppComputeFromSimOverhead) {
-  std::vector<eval::AppCell> cells;
+  std::vector<eval::CellSpec> cells;
   for (int procs : {1, 2}) {
-    cells.push_back(
-        {host::PlatformId::AlphaFddi, mp::ToolKind::P4, eval::AppKind::MonteCarlo, procs});
+    cells.push_back(eval::CellSpec::of(eval::AppCell{
+        host::PlatformId::AlphaFddi, mp::ToolKind::P4, eval::AppKind::MonteCarlo, procs}));
   }
-  eval::AplConfig cfg;
-  (void)eval::sweep_app_s(cells, cfg, 1);
+  (void)eval::sweep(cells, 1);
   const auto stats = eval::last_sweep_host_stats();
   EXPECT_EQ(stats.cells, cells.size());
   EXPECT_GT(stats.wall_ns, 0u);
@@ -364,10 +359,9 @@ TEST(SweepHostStats, SplitsAppComputeFromSimOverhead) {
 TEST(SweepHostStats, ArenaStaysWarmAcrossSweeps) {
   const eval::AppCell sort_cell{host::PlatformId::AlphaFddi, mp::ToolKind::P4,
                                 eval::AppKind::Psrs, 2};
-  std::vector<eval::AppCell> cells(4, sort_cell);
-  eval::AplConfig cfg;
-  (void)eval::sweep_app_s(cells, cfg, 1);  // warm the worker's arena
-  (void)eval::sweep_app_s(cells, cfg, 1);
+  const std::vector<eval::CellSpec> cells(4, eval::CellSpec::of(sort_cell));
+  (void)eval::sweep(cells, 1);  // warm the worker's arena
+  (void)eval::sweep(cells, 1);
   const auto stats = eval::last_sweep_host_stats();
   EXPECT_GT(stats.arena_takes, 0u) << "sort kernels draw scratch from the arena";
   EXPECT_EQ(stats.arena_grows, 0u) << "steady-state sweeps must not grow the arena";

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -280,6 +281,25 @@ TEST(CrossVal, UnsupportedPrimitiveThrows) {
                                               eval::Primitive::GlobalSum, train,
                                               {}, direct_measure(1)),
                std::runtime_error);
+}
+
+TEST(CrossVal, ErrorCellThrowsWithTheCellsErrorText) {
+  TrainGrid train;
+  train.sizes = {256, 1024};
+  const MeasureTpl failing = [](const std::vector<eval::CellSpec>& cells) {
+    std::vector<eval::CellResult> out(cells.size());
+    out.back().status = eval::CellStatus::Error;
+    out.back().error = "platform has only 8 nodes";
+    return out;
+  };
+  try {
+    (void)cross_validate_primitive(ToolKind::P4, PlatformId::ClusterFlat,
+                                   eval::Primitive::SendRecv, train, {}, failing);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("platform has only 8 nodes"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(CrossVal, PatternSimsMatchDirectInvocation) {

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "eval/cell.hpp"
-#include "eval/sweep.hpp"
 #include "fault/plan.hpp"
 #include "host/platform.hpp"
 #include "mp/api.hpp"
@@ -370,26 +369,27 @@ TEST(Determinism, RepeatedCellsAreBitIdentical) {
 }
 
 TEST(Determinism, SerialAndParallelSweepsMatchOnScalePlatforms) {
-  std::vector<eval::TplCell> cells;
+  std::vector<eval::CellSpec> cells;
   for (const auto platform : host::scale_platforms()) {
     for (const int procs : {16, 48}) {
-      cells.push_back({.primitive = eval::Primitive::GlobalSum,
-                       .platform = platform,
-                       .tool = ToolKind::Express,
-                       .bytes = 0,
-                       .procs = procs,
-                       .global_sum_ints = 128});
-      cells.push_back({.primitive = eval::Primitive::SendRecv,
-                       .platform = platform,
-                       .tool = ToolKind::P4,
-                       .bytes = 65536,
-                       .procs = procs});
+      cells.push_back(eval::CellSpec::of(eval::TplCell{.primitive = eval::Primitive::GlobalSum,
+                                                       .platform = platform,
+                                                       .tool = ToolKind::Express,
+                                                       .bytes = 0,
+                                                       .procs = procs,
+                                                       .global_sum_ints = 128}));
+      cells.push_back(eval::CellSpec::of(eval::TplCell{.primitive = eval::Primitive::SendRecv,
+                                                       .platform = platform,
+                                                       .tool = ToolKind::P4,
+                                                       .bytes = 65536,
+                                                       .procs = procs}));
     }
   }
-  const auto serial = eval::sweep_tpl_ms(cells, 1);
+  const auto serial = eval::sweep(cells, 1);
   const auto serial_mbox = eval::last_sweep_mailbox_stats();
-  const auto parallel = eval::sweep_tpl_ms(cells, 4);
+  const auto parallel = eval::sweep(cells, 4);
   const auto parallel_mbox = eval::last_sweep_mailbox_stats();
+  for (const eval::CellResult& r : serial) ASSERT_EQ(r.status, eval::CellStatus::Ok) << r.error;
   EXPECT_EQ(serial, parallel);
   // The telemetry aggregate is order-independent sums, so it is exactly
   // thread-count-invariant too.

@@ -12,7 +12,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "eval/sched_cell.hpp"
+#include "eval/cell.hpp"
 #include "kernels/dispatch.hpp"
 #include "mp/api.hpp"
 #include "mp/communicator.hpp"
@@ -235,15 +235,17 @@ TEST(SchedDeterminism, BitIdenticalReplay) {
 }
 
 TEST(SchedDeterminism, SweepThreadCountInvariant) {
-  std::vector<eval::SchedCell> cells;
+  std::vector<eval::CellSpec> cells;
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL}) {
-    cells.push_back(mp_cell(host::PlatformId::ClusterFlat, 64, 2000.0, 10, seed));
+    cells.push_back(
+        eval::CellSpec::of(mp_cell(host::PlatformId::ClusterFlat, 64, 2000.0, 10, seed)));
   }
-  const auto serial = eval::sweep_sched(cells, 1);
-  const auto fanned = eval::sweep_sched(cells, 4);
+  const auto serial = eval::sweep(cells, 1);
+  const auto fanned = eval::sweep(cells, 4);
   ASSERT_EQ(serial.size(), fanned.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    expect_identical(serial[i].schedule, fanned[i].schedule);
+    ASSERT_EQ(serial[i].status, eval::CellStatus::Ok) << serial[i].error;
+    expect_identical(serial[i].sched.schedule, fanned[i].sched.schedule);
   }
 }
 

@@ -10,8 +10,8 @@
 #include <thread>
 #include <vector>
 
+#include "eval/cell.hpp"
 #include "eval/paper_data.hpp"
-#include "eval/sweep.hpp"
 #include "eval/trace_cell.hpp"
 #include "fault/plan.hpp"
 
@@ -57,29 +57,30 @@ TEST(Sweep, NonUniformNonPowerOfTwoGridIsBitIdenticalAcrossThreads) {
   // primitive. The sweep must stay element-for-element bit-identical to
   // the serial walk on those too -- the fitted models inherit their
   // determinism from exactly this guarantee.
-  std::vector<TplCell> cells;
+  std::vector<CellSpec> cells;
   for (std::int64_t bytes : {768LL, 1536LL, 3072LL, 6144LL, 12288LL}) {
     for (int procs : {2, 3, 5, 6, 7, 12}) {
-      cells.push_back({Primitive::Broadcast, PlatformId::ClusterFatTree,
-                       ToolKind::Express, bytes, procs, 0});
-      cells.push_back({Primitive::GlobalSum, PlatformId::ClusterDragonfly,
-                       ToolKind::P4, 0, procs, bytes / 4});
+      cells.push_back(CellSpec::of(TplCell{Primitive::Broadcast, PlatformId::ClusterFatTree,
+                                           ToolKind::Express, bytes, procs, 0}));
+      cells.push_back(CellSpec::of(TplCell{Primitive::GlobalSum, PlatformId::ClusterDragonfly,
+                                           ToolKind::P4, 0, procs, bytes / 4}));
     }
-    cells.push_back({Primitive::SendRecv, PlatformId::ClusterFlat, ToolKind::Pvm,
-                     bytes, 2, 0});
+    cells.push_back(CellSpec::of(
+        TplCell{Primitive::SendRecv, PlatformId::ClusterFlat, ToolKind::Pvm, bytes, 2, 0}));
   }
-  const auto serial = sweep_tpl_ms(cells, 1);
+  const auto serial = sweep(cells, 1);
   ASSERT_EQ(serial.size(), cells.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    ASSERT_TRUE(serial[i].has_value()) << i;
-    EXPECT_GT(*serial[i], 0.0) << i;
+    ASSERT_EQ(serial[i].status, CellStatus::Ok) << i;
+    EXPECT_GT(serial[i].tpl_ms, 0.0) << i;
   }
   for (unsigned threads : {2u, 3u, 8u}) {
-    const auto parallel = sweep_tpl_ms(cells, threads);
+    const auto parallel = sweep(cells, threads);
     ASSERT_EQ(parallel.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
       // Bit-identical, not merely close.
-      EXPECT_EQ(*parallel[i], *serial[i]) << "cell " << i << ", " << threads << " threads";
+      EXPECT_EQ(parallel[i].tpl_ms, serial[i].tpl_ms)
+          << "cell " << i << ", " << threads << " threads";
     }
   }
 }
@@ -87,26 +88,28 @@ TEST(Sweep, NonUniformNonPowerOfTwoGridIsBitIdenticalAcrossThreads) {
 TEST(Sweep, TplGridParallelMatchesSerialElementForElement) {
   // A slice of the Table 3 / Figure 2 grid: every primitive family, the
   // PVM global-sum hole included.
-  std::vector<TplCell> cells;
+  std::vector<CellSpec> cells;
   for (std::int64_t bytes : {0LL, 1024LL, 16384LL}) {
     for (ToolKind t : {ToolKind::Pvm, ToolKind::P4, ToolKind::Express}) {
-      cells.push_back({Primitive::SendRecv, PlatformId::SunEthernet, t, bytes, 2, 0});
-      cells.push_back({Primitive::Broadcast, PlatformId::SunAtmLan, t, bytes, 4, 0});
-      cells.push_back({Primitive::GlobalSum, PlatformId::AlphaFddi, t, 0, 4, 10000});
+      cells.push_back(
+          CellSpec::of(TplCell{Primitive::SendRecv, PlatformId::SunEthernet, t, bytes, 2, 0}));
+      cells.push_back(
+          CellSpec::of(TplCell{Primitive::Broadcast, PlatformId::SunAtmLan, t, bytes, 4, 0}));
+      cells.push_back(
+          CellSpec::of(TplCell{Primitive::GlobalSum, PlatformId::AlphaFddi, t, 0, 4, 10000}));
     }
   }
-  const auto serial = sweep_tpl_ms(cells, 1);
+  const auto serial = sweep(cells, 1);
   ASSERT_EQ(serial.size(), cells.size());
   for (unsigned threads : {2u, 4u, 7u}) {
-    const auto parallel = sweep_tpl_ms(cells, threads);
+    const auto parallel = sweep(cells, threads);
     ASSERT_EQ(parallel.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
-      ASSERT_EQ(parallel[i].has_value(), serial[i].has_value()) << i;
-      if (serial[i]) {
-        // Bit-identical, not approximately equal: each cell is its own
-        // Simulation, so thread count must not perturb a single ULP.
-        EXPECT_EQ(*parallel[i], *serial[i]) << "cell " << i << ", " << threads << " threads";
-      }
+      ASSERT_EQ(parallel[i].status, serial[i].status) << i;
+      // Bit-identical, not approximately equal: each cell is its own
+      // Simulation, so thread count must not perturb a single ULP.
+      EXPECT_EQ(parallel[i].tpl_ms, serial[i].tpl_ms)
+          << "cell " << i << ", " << threads << " threads";
     }
   }
 }
@@ -118,20 +121,61 @@ TEST(Sweep, AppGridParallelMatchesSerialElementForElement) {
   cfg.mc_samples = 50'000;
   cfg.mc_rounds = 2;
   cfg.sort_keys = 20'000;
-  std::vector<AppCell> cells;
+  std::vector<CellSpec> cells;
   for (AppKind app : all_apps()) {
     for (int procs : {1, 2, 4}) {
       for (ToolKind t : {ToolKind::Pvm, ToolKind::P4}) {
-        cells.push_back({PlatformId::AlphaFddi, t, app, procs});
+        cells.push_back(CellSpec::of(AppCell{PlatformId::AlphaFddi, t, app, procs}, cfg));
       }
     }
   }
-  const auto serial = sweep_app_s(cells, cfg, 1);
-  const auto parallel = sweep_app_s(cells, cfg, 4);
+  const auto serial = sweep(cells, 1);
+  const auto parallel = sweep(cells, 4);
   ASSERT_EQ(serial.size(), cells.size());
   ASSERT_EQ(parallel.size(), serial.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(parallel[i], serial[i]) << "cell " << i;
+    ASSERT_EQ(serial[i].status, CellStatus::Ok) << i;
+    EXPECT_EQ(parallel[i].app_s, serial[i].app_s) << "cell " << i;
+  }
+}
+
+TEST(Sweep, MixedBatchMatchesPerSpecRunCellAtAnyWidth) {
+  // One batch of every cell kind and every status: the sweep must write
+  // each run_cell result, byte for byte, into its own slot -- a failing
+  // cell included -- and never throw.
+  AplConfig cfg;
+  cfg.image_size = 64;
+  cfg.fft_n = 16;
+  cfg.mc_samples = 20'000;
+  cfg.sort_keys = 10'000;
+  SchedCell sched;
+  sched.njobs = 6;
+  const std::vector<CellSpec> cells = {
+      CellSpec::of(TplCell{Primitive::SendRecv, PlatformId::SunEthernet, ToolKind::P4, 1024}),
+      CellSpec::of(AppCell{PlatformId::AlphaFddi, ToolKind::Express, AppKind::Psrs, 4}, cfg),
+      // PVM has no global sum.
+      CellSpec::of(TplCell{Primitive::GlobalSum, PlatformId::AlphaFddi, ToolKind::Pvm, 0, 4, 64}),
+      CellSpec::of(sched),
+      // More procs than the platform has nodes.
+      CellSpec::of(TplCell{Primitive::Broadcast, PlatformId::SunEthernet, ToolKind::P4, 64, 4096}),
+      CellSpec::of(AppCell{PlatformId::SunAtmLan, ToolKind::Pvm, AppKind::Jpeg, 2}, cfg),
+  };
+  std::vector<std::vector<std::byte>> direct;
+  for (const CellSpec& c : cells) direct.push_back(encode_result(run_cell(c)));
+  for (unsigned threads : {1u, 4u}) {
+    const auto results = sweep(cells, threads);
+    ASSERT_EQ(results.size(), cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      EXPECT_EQ(results[i].type, cells[i].type) << i;
+      EXPECT_EQ(encode_result(results[i]), direct[i]) << "cell " << i << " @" << threads;
+    }
+    EXPECT_EQ(results[0].status, CellStatus::Ok);
+    EXPECT_EQ(results[1].status, CellStatus::Ok);
+    EXPECT_EQ(results[2].status, CellStatus::Unsupported);
+    EXPECT_EQ(results[3].status, CellStatus::Ok);
+    EXPECT_EQ(results[4].status, CellStatus::Error);
+    EXPECT_FALSE(results[4].error.empty());
+    EXPECT_EQ(results[5].status, CellStatus::Ok);
   }
 }
 
@@ -139,11 +183,10 @@ TEST(Sweep, PoolTelemetryAggregatesAcrossWorkers) {
   // Any grid that moves payloads should show fleet-wide pool activity, and
   // the steady-state recycling rate should be high: after each worker's
   // first few cells, every payload buffer is a pool hit.
-  std::vector<TplCell> cells;
-  for (int i = 0; i < 32; ++i) {
-    cells.push_back({Primitive::GlobalSum, PlatformId::AlphaFddi, ToolKind::Express, 0, 4, 4096});
-  }
-  (void)sweep_tpl_ms(cells, 4);
+  const std::vector<CellSpec> cells(
+      32, CellSpec::of(TplCell{Primitive::GlobalSum, PlatformId::AlphaFddi, ToolKind::Express,
+                               0, 4, 4096}));
+  (void)sweep(cells, 4);
   const auto stats = last_sweep_pool_stats();
   EXPECT_GT(stats.hits + stats.misses, 0u);
   EXPECT_GT(stats.releases, 0u);
@@ -151,7 +194,9 @@ TEST(Sweep, PoolTelemetryAggregatesAcrossWorkers) {
   EXPECT_GT(stats.hit_rate(), 0.9);
 
   // The aggregate is per-run: a fresh sweep resets it.
-  (void)sweep_tpl_ms({{Primitive::SendRecv, PlatformId::SunEthernet, ToolKind::P4, 64, 2, 0}}, 2);
+  const std::vector<CellSpec> one = {
+      CellSpec::of(TplCell{Primitive::SendRecv, PlatformId::SunEthernet, ToolKind::P4, 64, 2, 0})};
+  (void)sweep(one, 2);
   const auto fresh = last_sweep_pool_stats();
   EXPECT_LT(fresh.hits + fresh.misses, stats.hits + stats.misses);
 }
@@ -162,16 +207,16 @@ namespace {
 
 /// The complete Table 3 grid in print order (the same construction as
 /// bench_table3_sendrecv), optionally with a fault plan on every cell.
-std::vector<TplCell> table3_cells(const fault::FaultPlan& faults = {}) {
+std::vector<CellSpec> table3_cells(const fault::FaultPlan& faults = {}) {
   const ToolKind tools[] = {ToolKind::Pvm, ToolKind::P4, ToolKind::Express};
   const PlatformId platforms[] = {PlatformId::SunEthernet, PlatformId::SunAtmLan,
                                   PlatformId::SunAtmWan};
-  std::vector<TplCell> cells;
+  std::vector<CellSpec> cells;
   for (std::int64_t bytes : paper_message_sizes()) {
     for (ToolKind tool : tools) {
       for (PlatformId p : platforms) {
         if (tool == ToolKind::Express && p == PlatformId::SunAtmWan) continue;
-        cells.push_back({Primitive::SendRecv, p, tool, bytes, 2, 0, faults});
+        cells.push_back(CellSpec::of(TplCell{Primitive::SendRecv, p, tool, bytes, 2, 0, faults}));
       }
     }
   }
@@ -188,36 +233,36 @@ struct EnvThreads {
 
 TEST(SweepDeterminism, FullTable3TwiceInOneProcessIsBitIdentical) {
   const auto cells = table3_cells();
-  const auto first = sweep_tpl_ms(cells);
-  const auto second = sweep_tpl_ms(cells);
+  const auto first = sweep(cells);
+  const auto second = sweep(cells);
   ASSERT_EQ(first.size(), second.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
-    ASSERT_TRUE(first[i].has_value()) << i;
-    EXPECT_EQ(*first[i], *second[i]) << "cell " << i;
+    ASSERT_EQ(first[i].status, CellStatus::Ok) << i;
+    EXPECT_EQ(first[i].tpl_ms, second[i].tpl_ms) << "cell " << i;
   }
 }
 
 TEST(SweepDeterminism, ThreadCountEnvDoesNotPerturbResultsOrCounterTotals) {
   const auto cells = table3_cells();
-  std::vector<std::optional<double>> r1, r8;
+  std::vector<CellResult> r1, r8;
   SweepPoolStats p1, p8;
   SweepFaultStats f1, f8;
   {
     const EnvThreads env("1");
-    r1 = sweep_tpl_ms(cells, /*threads=*/0);  // 0 -> resolve from env
+    r1 = sweep(cells, /*threads=*/0);  // 0 -> resolve from env
     p1 = last_sweep_pool_stats();
     f1 = last_sweep_fault_stats();
   }
   {
     const EnvThreads env("8");
-    r8 = sweep_tpl_ms(cells, /*threads=*/0);
+    r8 = sweep(cells, /*threads=*/0);
     p8 = last_sweep_pool_stats();
     f8 = last_sweep_fault_stats();
   }
   ASSERT_EQ(r1.size(), r8.size());
   for (std::size_t i = 0; i < r1.size(); ++i) {
-    ASSERT_EQ(r1[i].has_value(), r8[i].has_value()) << i;
-    if (r1[i]) EXPECT_EQ(*r1[i], *r8[i]) << "cell " << i;
+    ASSERT_EQ(r1[i].status, r8[i].status) << i;
+    EXPECT_EQ(r1[i].tpl_ms, r8[i].tpl_ms) << "cell " << i;
   }
   // Pool telemetry: the hit/miss split depends on how cells land on worker
   // threads (each thread pays its own cold misses), but the totals are a
@@ -240,19 +285,19 @@ TEST(SweepDeterminism, FaultedSweepReplaysBitIdenticallyAcrossThreadCounts) {
   // count.
   auto cells = table3_cells(fault::FaultPlan::uniform(0.10, 0.02, 0.05, 0.1,
                                                       sim::milliseconds(1)));
-  for (std::size_t i = 0; i < cells.size(); ++i) cells[i].faults.seed = 0x7AB1E3 + i;
-  const auto serial = sweep_tpl_ms(cells, 1);
+  for (std::size_t i = 0; i < cells.size(); ++i) cells[i].tpl.faults.seed = 0x7AB1E3 + i;
+  const auto serial = sweep(cells, 1);
   const auto fault_serial = last_sweep_fault_stats();
   EXPECT_GT(fault_serial.transport.retransmits, 0);
   EXPECT_GT(fault_serial.injected.frames, 0);
   EXPECT_GT(fault_serial.injected.drops, 0);
   for (unsigned threads : {2u, 8u}) {
-    const auto parallel = sweep_tpl_ms(cells, threads);
+    const auto parallel = sweep(cells, threads);
     const auto fault_parallel = last_sweep_fault_stats();
     ASSERT_EQ(parallel.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
-      ASSERT_EQ(parallel[i].has_value(), serial[i].has_value()) << i;
-      if (serial[i]) EXPECT_EQ(*parallel[i], *serial[i]) << "cell " << i;
+      ASSERT_EQ(parallel[i].status, serial[i].status) << i;
+      EXPECT_EQ(parallel[i].tpl_ms, serial[i].tpl_ms) << "cell " << i;
     }
     EXPECT_EQ(fault_parallel.transport, fault_serial.transport) << threads << " threads";
     EXPECT_EQ(fault_parallel.injected.frames, fault_serial.injected.frames);
@@ -270,19 +315,20 @@ TEST(SweepDeterminism, TraceStreamsAreBitIdenticalAcrossThreadCounts) {
   // stream is a pure function of the cell. In the default PDC_TRACE=OFF
   // build the streams are empty and this degenerates to the timing check;
   // the CI trace job runs it with the probes compiled in.
-  std::vector<TplCell> cells;
+  std::vector<CellSpec> cells;
   for (auto tool : {ToolKind::P4, ToolKind::Pvm, ToolKind::Express}) {
     for (std::int64_t bytes : {16, 16384}) {
       TplCell c;
       c.tool = tool;
       c.bytes = bytes;
-      cells.push_back(c);
+      cells.push_back(CellSpec::of(c));
     }
   }
   auto run = [&](unsigned threads) {
-    return parallel_map<TracedTplCell>(
-        cells.size(), [&](std::size_t i) { return tpl_cell_traced(cells[i]); },
-        threads);
+    std::vector<TracedCell> out(cells.size());
+    parallel_for_index(cells.size(), threads,
+                       [&](std::size_t i) { out[i] = run_cell_traced(cells[i]); });
+    return out;
   };
   const auto serial = run(1);
   EXPECT_EQ(serial.front().records.empty(), !trace_compiled_in());
@@ -290,7 +336,7 @@ TEST(SweepDeterminism, TraceStreamsAreBitIdenticalAcrossThreadCounts) {
     const auto fanned = run(threads);
     ASSERT_EQ(fanned.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(fanned[i].ms, serial[i].ms) << "cell " << i;
+      EXPECT_EQ(fanned[i].result, serial[i].result) << "cell " << i;
       EXPECT_EQ(fanned[i].stats, serial[i].stats) << "cell " << i;
       ASSERT_EQ(fanned[i].records.size(), serial[i].records.size()) << "cell " << i;
       for (std::size_t r = 0; r < serial[i].records.size(); ++r) {
@@ -301,6 +347,27 @@ TEST(SweepDeterminism, TraceStreamsAreBitIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(TracedCell, SchedCellTracesWithTheSameResultBytes) {
+  SchedCell cell;
+  cell.njobs = 6;
+  const CellSpec spec = CellSpec::of(cell);
+  const TracedCell traced = run_cell_traced(spec);
+  ASSERT_EQ(traced.result.status, CellStatus::Ok) << traced.result.error;
+  EXPECT_EQ(encode_result(traced.result), encode_result(run_cell(spec)));
+  EXPECT_EQ(traced.records.empty(), !trace_compiled_in());
+}
+
+TEST(TracedCell, ErrorCellReturnsErrorWithAnEmptyStream) {
+  TplCell cell;
+  cell.primitive = Primitive::Broadcast;
+  cell.procs = 4096;  // more procs than the platform has nodes
+  const TracedCell traced = run_cell_traced(CellSpec::of(cell));
+  EXPECT_EQ(traced.result.status, CellStatus::Error);
+  EXPECT_FALSE(traced.result.error.empty());
+  EXPECT_TRUE(traced.records.empty());
+  EXPECT_EQ(traced.stats.emitted, 0u);
+}
+
 TEST(SweepTelemetry, ConcurrentSweepsKeepTheirOwnStats) {
   // Regression: the last_sweep_*_stats() accessors used to read global
   // aggregates, so a clean sweep racing a faulted sweep on another thread
@@ -308,14 +375,14 @@ TEST(SweepTelemetry, ConcurrentSweepsKeepTheirOwnStats) {
   // request's injected-fault counters. Each accessor now reports the last
   // sweep *submitted from the calling thread*; a clean sweep must read
   // zero injected frames no matter what runs next door.
-  std::vector<TplCell> faulty_cells, clean_cells;
+  std::vector<CellSpec> faulty_cells, clean_cells;
   for (std::int64_t bytes : {256, 1024, 4096}) {
     TplCell c;
     c.bytes = bytes;
     c.faults = fault::FaultPlan::uniform(0.05, 0.0, 0.0, 0.0, sim::microseconds(100), 0xF457);
-    faulty_cells.push_back(c);
+    faulty_cells.push_back(CellSpec::of(c));
     c.faults = {};
-    clean_cells.push_back(c);
+    clean_cells.push_back(CellSpec::of(c));
   }
 
   for (int round = 0; round < 3; ++round) {
@@ -324,13 +391,13 @@ TEST(SweepTelemetry, ConcurrentSweepsKeepTheirOwnStats) {
     std::thread faulty([&] {
       ready.fetch_add(1);
       while (ready.load() < 2) {}
-      (void)sweep_tpl_ms(faulty_cells, 2);
+      (void)sweep(faulty_cells, 2);
       faulty_seen = last_sweep_fault_stats();
     });
     std::thread clean([&] {
       ready.fetch_add(1);
       while (ready.load() < 2) {}
-      (void)sweep_tpl_ms(clean_cells, 2);
+      (void)sweep(clean_cells, 2);
       clean_seen = last_sweep_fault_stats();
     });
     faulty.join();

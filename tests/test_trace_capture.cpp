@@ -9,7 +9,6 @@
 
 #include <vector>
 
-#include "eval/sweep.hpp"
 #include "eval/trace_cell.hpp"
 #include "trace/analyze.hpp"
 #include "trace/export.hpp"
@@ -21,14 +20,14 @@ namespace mp = pdc::mp;
 
 namespace {
 
-eval::TplCell ping_pong_cell() {
+eval::CellSpec ping_pong_cell() {
   eval::TplCell cell;
   cell.primitive = eval::Primitive::SendRecv;
   cell.platform = host::PlatformId::SunEthernet;
   cell.tool = mp::ToolKind::P4;
   cell.bytes = 1;
   cell.procs = 2;
-  return cell;
+  return eval::CellSpec::of(cell);
 }
 
 }  // namespace
@@ -39,24 +38,23 @@ TEST(TraceCapture, ProbesAreCompiledIn) {
 
 TEST(TraceCapture, TracedPingPongTimingIsBitIdenticalToUntraced) {
   const auto cell = ping_pong_cell();
-  const auto untraced = eval::tpl_cell_ms(cell);
-  const auto traced = eval::tpl_cell_traced(cell);
-  ASSERT_TRUE(untraced.has_value());
-  ASSERT_TRUE(traced.ms.has_value());
-  EXPECT_EQ(*traced.ms, *untraced);  // exact: capture must not perturb the sim
+  const auto untraced = eval::run_cell(cell);
+  const auto traced = eval::run_cell_traced(cell);
+  ASSERT_EQ(untraced.status, eval::CellStatus::Ok);
+  EXPECT_EQ(traced.result, untraced);  // exact: capture must not perturb the sim
   EXPECT_FALSE(traced.records.empty());
   EXPECT_EQ(traced.stats.dropped, 0u);
   EXPECT_EQ(traced.stats.emitted, traced.records.size());
 }
 
 TEST(TraceCapture, PingPongBreakdownReconcilesWithMakespan) {
-  const auto traced = eval::tpl_cell_traced(ping_pong_cell());
-  ASSERT_TRUE(traced.ms.has_value());
+  const auto traced = eval::run_cell_traced(ping_pong_cell());
+  ASSERT_EQ(traced.result.status, eval::CellStatus::Ok);
   const std::int64_t makespan = trace::makespan_ns(traced.records);
   EXPECT_GT(makespan, 0);
   // The traced stream's horizon matches the cell's reported time: the last
   // traced occurrence is the final recv completing the ping-pong.
-  EXPECT_EQ(static_cast<double>(makespan) * 1e-6, *traced.ms);
+  EXPECT_EQ(static_cast<double>(makespan) * 1e-6, traced.result.tpl_ms);
 
   // Each rank's categories plus idle partition the makespan exactly.
   const auto breakdown = trace::blocking_breakdown(traced.records);
@@ -84,8 +82,8 @@ TEST(TraceCapture, RingCriticalPathCoversMostOfTheMakespan) {
   cell.tool = mp::ToolKind::P4;
   cell.bytes = 1024;
   cell.procs = 4;
-  const auto traced = eval::tpl_cell_traced(cell);
-  ASSERT_TRUE(traced.ms.has_value());
+  const auto traced = eval::run_cell_traced(eval::CellSpec::of(cell));
+  ASSERT_EQ(traced.result.status, eval::CellStatus::Ok);
   const auto cp = trace::critical_path(traced.records);
   EXPECT_EQ(cp.makespan_ns, trace::makespan_ns(traced.records));
   EXPECT_GE(cp.coverage(), 0.90);  // acceptance floor from the design brief
@@ -108,8 +106,8 @@ TEST(TraceCaptureGolden, P4JpegOnFddi) {
   cell.tool = mp::ToolKind::P4;
   cell.app = eval::AppKind::Jpeg;
   cell.procs = 4;
-  const auto traced = eval::app_cell_traced(cell);
-  EXPECT_EQ(traced.seconds, eval::app_cell_s(cell));  // capture-neutral
+  const auto traced = eval::run_cell_traced(eval::CellSpec::of(cell));
+  EXPECT_EQ(traced.result.app_s, eval::app_cell_s(cell));  // capture-neutral
 
   const std::int64_t makespan = trace::makespan_ns(traced.records);
   const auto m = trace::comm_matrix(traced.records);
@@ -132,8 +130,8 @@ TEST(TraceCaptureGolden, ExpressPsrsOnSp1Switch) {
   cell.tool = mp::ToolKind::Express;
   cell.app = eval::AppKind::Psrs;
   cell.procs = 4;
-  const auto traced = eval::app_cell_traced(cell);
-  EXPECT_EQ(traced.seconds, eval::app_cell_s(cell));
+  const auto traced = eval::run_cell_traced(eval::CellSpec::of(cell));
+  EXPECT_EQ(traced.result.app_s, eval::app_cell_s(cell));
 
   const std::int64_t makespan = trace::makespan_ns(traced.records);
   const auto m = trace::comm_matrix(traced.records);
@@ -149,7 +147,7 @@ TEST(TraceCaptureGolden, ExpressPsrsOnSp1Switch) {
 // -- determinism across sweep workers ----------------------------------------
 
 TEST(TraceCapture, StreamsAreBitIdenticalAcrossThreadCounts) {
-  std::vector<eval::TplCell> cells;
+  std::vector<eval::CellSpec> cells;
   for (auto tool : {mp::ToolKind::P4, mp::ToolKind::Pvm, mp::ToolKind::Express}) {
     for (std::int64_t bytes : {1, 4096}) {
       eval::TplCell c;
@@ -158,21 +156,22 @@ TEST(TraceCapture, StreamsAreBitIdenticalAcrossThreadCounts) {
       c.tool = tool;
       c.bytes = bytes;
       c.procs = 2;
-      cells.push_back(c);
+      cells.push_back(eval::CellSpec::of(c));
     }
   }
 
   auto run = [&](unsigned threads) {
-    return eval::parallel_map<eval::TracedTplCell>(
-        cells.size(), [&](std::size_t i) { return eval::tpl_cell_traced(cells[i]); },
-        threads);
+    std::vector<eval::TracedCell> out(cells.size());
+    eval::parallel_for_index(cells.size(), threads,
+                             [&](std::size_t i) { out[i] = eval::run_cell_traced(cells[i]); });
+    return out;
   };
   const auto serial = run(1);
   for (const unsigned threads : {2u, 8u}) {
     const auto fanned = run(threads);
     ASSERT_EQ(fanned.size(), serial.size());
     for (std::size_t i = 0; i < cells.size(); ++i) {
-      EXPECT_EQ(fanned[i].ms, serial[i].ms) << "cell " << i << " @" << threads;
+      EXPECT_EQ(fanned[i].result, serial[i].result) << "cell " << i << " @" << threads;
       EXPECT_EQ(fanned[i].stats, serial[i].stats) << "cell " << i << " @" << threads;
       ASSERT_EQ(fanned[i].records.size(), serial[i].records.size())
           << "cell " << i << " @" << threads;
@@ -191,8 +190,10 @@ TEST(TraceCapture, TinyRingSaturatesAndKeepsNewestWindow) {
   cell.primitive = eval::Primitive::Ring;
   cell.bytes = 1024;
   cell.procs = 4;
-  const auto traced = eval::tpl_cell_traced(cell, opt);
-  ASSERT_TRUE(traced.ms.has_value());
+  const eval::CellSpec spec = eval::CellSpec::of(cell);
+  const auto traced = eval::run_cell_traced(spec, opt);
+  ASSERT_EQ(traced.result.status, eval::CellStatus::Ok);
+  EXPECT_EQ(traced.capacity, 16u);
   EXPECT_EQ(traced.records.size(), 16u);
   EXPECT_GT(traced.stats.dropped, 0u);
   EXPECT_EQ(traced.stats.emitted, traced.stats.dropped + 16u);
@@ -201,4 +202,9 @@ TEST(TraceCapture, TinyRingSaturatesAndKeepsNewestWindow) {
   for (std::size_t i = 1; i < traced.records.size(); ++i) {
     EXPECT_GE(traced.records[i].t_ns, traced.records[i - 1].t_ns);
   }
+
+  // The sink rounds the requested capacity up to a power of two, and the
+  // traced result reports the ring it actually allocated.
+  opt.capacity = 1000;
+  EXPECT_EQ(eval::run_cell_traced(spec, opt).capacity, 1024u);
 }

@@ -172,33 +172,33 @@ inline constexpr std::size_t kMaxRangeValues = 1 << 16;
 }
 
 /// tool:platform:primitive-or-app:bytes:procs ("p4:ethernet:sendrecv:1:2").
-/// Empty trailing fields keep whatever defaults the cells carry in.
-/// The tool/platform/procs fields land in BOTH cells so the caller can
-/// pick either by `is_app`.
-[[nodiscard]] inline bool parse_cell_spec(const std::string& spec, eval::TplCell& tpl,
-                                          eval::AppCell& app, bool& is_app) {
+/// Empty trailing fields keep whatever defaults the spec carries in. The
+/// primitive-or-app field sets `spec.type` (Tpl or App); tool, platform
+/// and procs land in both branches, so a later --primitive or --app flag
+/// switches the kind without losing them.
+[[nodiscard]] inline bool parse_cell_spec(const std::string& text, eval::CellSpec& spec) {
   std::vector<std::string> parts;
-  std::stringstream ss(spec);
+  std::stringstream ss(text);
   std::string part;
   while (std::getline(ss, part, ':')) parts.push_back(part);
   if (parts.size() < 3 || parts.size() > 5) return false;
-  if (!parse_tool(parts[0], tpl.tool)) return false;
-  if (!parse_platform(parts[1], tpl.platform)) return false;
-  if (parse_primitive(parts[2], tpl.primitive)) {
-    is_app = false;
-  } else if (parse_app(parts[2], app.app)) {
-    is_app = true;
+  if (!parse_tool(parts[0], spec.tpl.tool)) return false;
+  if (!parse_platform(parts[1], spec.tpl.platform)) return false;
+  if (parse_primitive(parts[2], spec.tpl.primitive)) {
+    spec.type = eval::CellType::Tpl;
+  } else if (parse_app(parts[2], spec.app.app)) {
+    spec.type = eval::CellType::App;
   } else {
     return false;
   }
-  app.tool = tpl.tool;
-  app.platform = tpl.platform;
+  spec.app.tool = spec.tpl.tool;
+  spec.app.platform = spec.tpl.platform;
   if (parts.size() > 3 && !parts[3].empty()) {
-    if (!parse_number(parts[3], tpl.bytes) || tpl.bytes < 0) return false;
+    if (!parse_number(parts[3], spec.tpl.bytes) || spec.tpl.bytes < 0) return false;
   }
   if (parts.size() > 4 && !parts[4].empty()) {
-    if (!parse_count(parts[4], tpl.procs)) return false;
-    app.procs = tpl.procs;
+    if (!parse_count(parts[4], spec.tpl.procs)) return false;
+    spec.app.procs = spec.tpl.procs;
   }
   return true;
 }

@@ -201,13 +201,13 @@ std::string stats_json(const pdc::evald::DaemonStats& s) {
 
 int main(int argc, char** argv) {
   std::string server = "/tmp/pdcevald.sock";
-  pdc::eval::TplCell tpl;
+  CellSpec cell;
+  pdc::eval::TplCell& tpl = cell.tpl;
   tpl.bytes = 1;
   tpl.procs = 2;
-  pdc::eval::AppCell app;
+  pdc::eval::AppCell& app = cell.app;
   app.procs = 2;
-  pdc::eval::SchedCell sched;
-  bool is_app = false;
+  pdc::eval::SchedCell& sched = cell.sched;
   bool is_sched = false;
   bool have_cell = false;
   bool do_stats = false;
@@ -242,8 +242,8 @@ int main(int argc, char** argv) {
       sched.platform = tpl.platform;
       have_cell = true;
     }
-    else if (arg == "--primitive") { ok = pdc::tools::parse_primitive(value(), tpl.primitive); is_app = false; have_cell = true; }
-    else if (arg == "--app") { ok = pdc::tools::parse_app(value(), app.app); is_app = true; have_cell = true; }
+    else if (arg == "--primitive") { ok = pdc::tools::parse_primitive(value(), tpl.primitive); cell.type = pdc::eval::CellType::Tpl; have_cell = true; }
+    else if (arg == "--app") { ok = pdc::tools::parse_app(value(), app.app); cell.type = pdc::eval::CellType::App; have_cell = true; }
     else if (arg == "--bytes") { ok = pdc::tools::parse_range(value(), bytes_range); have_cell = true; }
     else if (arg == "--procs") {
       ok = pdc::tools::parse_range(value(), procs_range);
@@ -258,7 +258,7 @@ int main(int argc, char** argv) {
     else if (arg == "--dup") ok = pdc::tools::parse_fault_rate(value(), duplicate);
     else if (arg == "--seed") { ok = pdc::tools::parse_seed(value(), seed); have_seed = true; }
     else if (arg == "--cell") {
-      ok = pdc::tools::parse_cell_spec(value(), tpl, app, is_app);
+      ok = pdc::tools::parse_cell_spec(value(), cell);
       if (ok) {
         // The compact spec carries single values; reset the range axes so
         // they take effect (a later --bytes/--procs/--ints still overrides).
@@ -319,7 +319,7 @@ int main(int argc, char** argv) {
   std::vector<CellSpec> specs;
   if (is_sched) {
     specs.push_back(CellSpec::of(sched));
-  } else if (is_app) {
+  } else if (cell.type == pdc::eval::CellType::App) {
     for (std::int64_t p : procs_range) {
       app.procs = static_cast<int>(p);
       specs.push_back(CellSpec::of(app));

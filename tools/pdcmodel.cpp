@@ -21,8 +21,6 @@
 #include <cstdlib>
 #include <exception>
 #include <memory>
-#include <optional>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -80,27 +78,14 @@ using pdc::model::TrainGrid;
   return true;
 }
 
-/// Measure through a pdcevald daemon: ships the batch as one sweep frame,
-/// maps Unsupported to nullopt (same contract as eval::sweep_tpl_ms) and
-/// throws on execution errors.
+/// Measure through a pdcevald daemon: ships the batch as one sweep frame
+/// and returns the daemon's results in cell order.
 [[nodiscard]] MeasureTpl daemon_measure(const std::string& socket_path) {
   auto client = std::make_shared<pdc::evald::Client>(socket_path);
-  return [client](const std::vector<pdc::eval::TplCell>& cells) {
-    std::vector<pdc::eval::CellSpec> specs;
-    specs.reserve(cells.size());
-    for (const pdc::eval::TplCell& c : cells) specs.push_back(pdc::eval::CellSpec::of(c));
-    const auto outs = client->sweep(specs);
-    std::vector<std::optional<double>> ms;
-    ms.reserve(outs.size());
-    for (const auto& out : outs) {
-      switch (out.result.status) {
-        case pdc::eval::CellStatus::Ok: ms.emplace_back(out.result.tpl_ms); break;
-        case pdc::eval::CellStatus::Unsupported: ms.emplace_back(std::nullopt); break;
-        case pdc::eval::CellStatus::Error:
-          throw std::runtime_error("daemon cell error: " + out.result.error);
-      }
-    }
-    return ms;
+  return [client](const std::vector<pdc::eval::CellSpec>& specs) {
+    std::vector<pdc::eval::CellResult> results;
+    for (auto& out : client->sweep(specs)) results.push_back(std::move(out.result));
+    return results;
   };
 }
 

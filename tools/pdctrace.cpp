@@ -12,8 +12,8 @@
 // exported files are valid but contain no events.
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -25,8 +25,8 @@
 
 namespace {
 
-using pdc::eval::AppCell;
-using pdc::eval::TplCell;
+using pdc::eval::CellStatus;
+using pdc::eval::CellType;
 using pdc::tools::parse_app;
 using pdc::tools::parse_count;
 using pdc::tools::parse_fault_rate;
@@ -36,9 +36,7 @@ using pdc::tools::parse_primitive;
 using pdc::tools::parse_tool;
 
 struct Options {
-  TplCell tpl;
-  AppCell app;
-  bool is_app{false};
+  pdc::eval::CellSpec cell;
   pdc::eval::TraceCapture capture;
   std::string json_path;
   std::string csv_path;
@@ -116,9 +114,11 @@ int run_validate(const std::string& path) {
 
 int main(int argc, char** argv) {
   Options o;
-  o.tpl.bytes = 1;
-  o.tpl.procs = 2;
-  o.app.procs = 2;
+  pdc::eval::TplCell& tpl = o.cell.tpl;
+  pdc::eval::AppCell& app = o.cell.app;
+  tpl.bytes = 1;
+  tpl.procs = 2;
+  app.procs = 2;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -131,13 +131,13 @@ int main(int argc, char** argv) {
     };
     bool ok = true;
     if (arg == "--help" || arg == "-h") usage(0);
-    else if (arg == "--tool") { const auto v = next(); ok = parse_tool(v, o.tpl.tool); o.app.tool = o.tpl.tool; }
-    else if (arg == "--platform") { const auto v = next(); ok = parse_platform(v, o.tpl.platform); o.app.platform = o.tpl.platform; }
-    else if (arg == "--primitive") { ok = parse_primitive(next(), o.tpl.primitive); o.is_app = false; }
-    else if (arg == "--app") { ok = parse_app(next(), o.app.app); o.is_app = true; }
-    else if (arg == "--bytes") ok = parse_number(next(), o.tpl.bytes) && o.tpl.bytes >= 0;
-    else if (arg == "--procs") { ok = parse_count(next(), o.tpl.procs); o.app.procs = o.tpl.procs; }
-    else if (arg == "--ints") ok = parse_number(next(), o.tpl.global_sum_ints) && o.tpl.global_sum_ints >= 0;
+    else if (arg == "--tool") { const auto v = next(); ok = parse_tool(v, tpl.tool); app.tool = tpl.tool; }
+    else if (arg == "--platform") { const auto v = next(); ok = parse_platform(v, tpl.platform); app.platform = tpl.platform; }
+    else if (arg == "--primitive") { ok = parse_primitive(next(), tpl.primitive); o.cell.type = CellType::Tpl; }
+    else if (arg == "--app") { ok = parse_app(next(), app.app); o.cell.type = CellType::App; }
+    else if (arg == "--bytes") ok = parse_number(next(), tpl.bytes) && tpl.bytes >= 0;
+    else if (arg == "--procs") { ok = parse_count(next(), tpl.procs); app.procs = tpl.procs; }
+    else if (arg == "--ints") ok = parse_number(next(), tpl.global_sum_ints) && tpl.global_sum_ints >= 0;
     else if (arg == "--drop") ok = parse_fault_rate(next(), o.drop);
     else if (arg == "--corrupt") ok = parse_fault_rate(next(), o.corrupt);
     else if (arg == "--dup") ok = parse_fault_rate(next(), o.duplicate);
@@ -152,7 +152,7 @@ int main(int argc, char** argv) {
     else if (arg == "--csv") o.csv_path = next();
     else if (arg == "--report") o.report = true;
     else if (arg == "--no-report") o.report = false;
-    else if (arg == "--trace-cell") ok = pdc::tools::parse_cell_spec(next(), o.tpl, o.app, o.is_app);
+    else if (arg == "--trace-cell") ok = pdc::tools::parse_cell_spec(next(), o.cell);
     else if (arg == "--validate") o.validate_path = next();
     else {
       std::fprintf(stderr, "pdctrace: unknown option %s\n", arg.c_str());
@@ -170,8 +170,8 @@ int main(int argc, char** argv) {
     const auto plan =
         pdc::fault::FaultPlan::uniform(o.drop, o.corrupt, o.duplicate, 0.0,
                                        pdc::sim::microseconds(500), o.seed);
-    o.tpl.faults = plan;
-    o.app.faults = plan;
+    tpl.faults = plan;
+    app.faults = plan;
   }
 
   if (!pdc::eval::trace_compiled_in()) {
@@ -180,40 +180,40 @@ int main(int argc, char** argv) {
                  "but the trace will be empty (rebuild with -DPDC_TRACE=ON)\n");
   }
 
-  std::vector<pdc::trace::Record> records;
-  pdc::trace::SinkStats stats;
-  // Invalid cell shapes (too many procs for the platform, bad sizes) throw
-  // from the cluster setup; a CLI reports them, it doesn't abort.
+  // Invalid cell shapes (too many procs for the platform, bad sizes) come
+  // back as Status::Error, and an oversized --buffer throws from the ring
+  // allocation; a CLI reports both, it doesn't abort.
+  pdc::eval::TracedCell traced;
   try {
-    if (o.is_app) {
-      const auto res = pdc::eval::app_cell_traced(o.app, {}, o.capture);
-      records = res.records;
-      stats = res.stats;
-      std::printf("cell: %s on %s, app %s, procs %d -> %.6f simulated s\n",
-                  pdc::mp::to_string(o.app.tool), pdc::host::to_string(o.app.platform),
-                  pdc::eval::to_string(o.app.app), o.app.procs, res.seconds);
-    } else {
-      const auto res = pdc::eval::tpl_cell_traced(o.tpl, o.capture);
-      records = res.records;
-      stats = res.stats;
-      if (!res.ms) {
-        std::printf("cell: %s on %s, %s: not available in this tool\n",
-                    pdc::mp::to_string(o.tpl.tool), pdc::host::to_string(o.tpl.platform),
-                    pdc::eval::to_string(o.tpl.primitive));
-        return 0;
-      }
-      std::printf("cell: %s on %s, %s, %lld bytes, procs %d -> %.6f simulated ms\n",
-                  pdc::mp::to_string(o.tpl.tool), pdc::host::to_string(o.tpl.platform),
-                  pdc::eval::to_string(o.tpl.primitive),
-                  static_cast<long long>(o.tpl.bytes), o.tpl.procs, *res.ms);
-    }
+    traced = pdc::eval::run_cell_traced(o.cell, o.capture);
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "pdctrace: cannot run cell: %s\n", e.what());
+    traced.result.status = CellStatus::Error;
+    traced.result.error = e.what();
+  }
+  const pdc::eval::CellResult& res = traced.result;
+  if (res.status == CellStatus::Error) {
+    std::fprintf(stderr, "pdctrace: cannot run cell: %s\n", res.error.c_str());
     return 2;
   }
+  if (o.cell.type == CellType::App) {
+    std::printf("cell: %s on %s, app %s, procs %d -> %.6f simulated s\n",
+                pdc::mp::to_string(app.tool), pdc::host::to_string(app.platform),
+                pdc::eval::to_string(app.app), app.procs, res.app_s);
+  } else if (res.status == CellStatus::Unsupported) {
+    std::printf("cell: %s on %s, %s: not available in this tool\n",
+                pdc::mp::to_string(tpl.tool), pdc::host::to_string(tpl.platform),
+                pdc::eval::to_string(tpl.primitive));
+    return 0;
+  } else {
+    std::printf("cell: %s on %s, %s, %lld bytes, procs %d -> %.6f simulated ms\n",
+                pdc::mp::to_string(tpl.tool), pdc::host::to_string(tpl.platform),
+                pdc::eval::to_string(tpl.primitive), static_cast<long long>(tpl.bytes),
+                tpl.procs, res.tpl_ms);
+  }
+  const std::vector<pdc::trace::Record>& records = traced.records;
   std::printf("trace: %llu records captured, %llu dropped (ring capacity %zu)\n",
-              static_cast<unsigned long long>(stats.emitted - stats.dropped),
-              static_cast<unsigned long long>(stats.dropped), o.capture.capacity);
+              static_cast<unsigned long long>(traced.stats.emitted - traced.stats.dropped),
+              static_cast<unsigned long long>(traced.stats.dropped), traced.capacity);
 
   if (!o.json_path.empty()) {
     const std::string json = pdc::trace::export_perfetto_json(records);
