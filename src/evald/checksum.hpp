@@ -1,8 +1,7 @@
-// pdceval -- CRC32 (IEEE 802.3, reflected, poly 0xEDB88320) over payload
-// bytes. Used by the reliable transport to reject corrupted frames: the
-// fault decorator models corruption by perturbing the frame's transmitted
-// CRC (payload buffers are immutable and shared), and the receiver detects
-// the mismatch exactly as a real NIC would.
+// pdceval -- CRC32 (IEEE 802.3, reflected, poly 0xEDB88320) over real
+// bytes the evaluation service reads back: socket frame payloads
+// (protocol.cpp) and store-log records (store.cpp), where a mismatch means
+// a flipped bit or a torn write.
 #pragma once
 
 #include <array>
@@ -10,7 +9,7 @@
 #include <cstdint>
 #include <span>
 
-namespace pdc::mp {
+namespace pdc::evald {
 
 namespace detail {
 constexpr std::array<std::uint32_t, 256> make_crc32_table() {
@@ -34,4 +33,4 @@ inline constexpr std::array<std::uint32_t, 256> kCrc32Table = make_crc32_table()
   return crc ^ 0xFFFFFFFFu;
 }
 
-}  // namespace pdc::mp
+}  // namespace pdc::evald

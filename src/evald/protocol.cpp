@@ -6,7 +6,7 @@
 #include <cerrno>
 #include <cstring>
 
-#include "mp/checksum.hpp"
+#include "evald/checksum.hpp"
 
 namespace pdc::evald {
 
@@ -115,7 +115,7 @@ bool write_frame(int fd, std::span<const std::byte> payload) {
   buf.reserve(payload.size() + 8);
   put_u32(buf, static_cast<std::uint32_t>(payload.size()));
   buf.insert(buf.end(), payload.begin(), payload.end());
-  put_u32(buf, mp::crc32(payload));
+  put_u32(buf, crc32(payload));
   return write_all(fd, buf.data(), buf.size());
 }
 
@@ -134,7 +134,7 @@ FrameStatus read_frame(int fd, std::vector<std::byte>& payload) {
   if (read_all(fd, trailer, 4) != 1) return FrameStatus::Truncated;
   std::uint32_t crc = 0;
   for (int i = 0; i < 4; ++i) crc |= static_cast<std::uint32_t>(trailer[i]) << (8 * i);
-  if (crc != mp::crc32({payload.data(), payload.size()})) return FrameStatus::BadCrc;
+  if (crc != crc32({payload.data(), payload.size()})) return FrameStatus::BadCrc;
   return FrameStatus::Ok;
 }
 

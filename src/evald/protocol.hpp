@@ -4,9 +4,8 @@
 //
 //   u32 payload_len (LE) | payload bytes | u32 crc32(payload) (LE)
 //
-// reusing the reliable transport's CRC32 (mp/checksum.hpp) so a flipped
-// bit anywhere in the payload is rejected exactly as the simulated NICs
-// reject corrupted frames. A reader that sees an oversized length prefix,
+// with the CRC32 of evald/checksum.hpp, so a flipped bit anywhere in the
+// payload is rejected. A reader that sees an oversized length prefix,
 // a truncated frame or a CRC mismatch stops trusting the stream and
 // closes the connection -- there is no resynchronisation, reconnecting is
 // the recovery path (tests pin zero-length payloads, the maximum length

@@ -9,7 +9,7 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "mp/checksum.hpp"
+#include "evald/checksum.hpp"
 
 namespace pdc::evald {
 
@@ -111,7 +111,7 @@ void Store::load_log_locked() {
     if (pos + 4 + payload_len + 4 > size) break;  // torn tail
     const std::byte* payload = base + pos + 4;
     const std::uint32_t stored_crc = get_u32(payload + payload_len);
-    if (mp::crc32({payload, payload_len}) != stored_crc) break;
+    if (crc32({payload, payload_len}) != stored_crc) break;
 
     const std::uint8_t kind = static_cast<std::uint8_t>(payload[0]);
     const std::uint64_t key = get_u64(payload + 1);
@@ -168,7 +168,7 @@ void Store::append_record_locked(std::uint8_t kind, std::uint64_t key,
   put_u32(p + 13, static_cast<std::uint32_t>(result.size()));
   std::memcpy(p + kRecHeader, spec.data(), spec.size());
   if (!result.empty()) std::memcpy(p + kRecHeader + spec.size(), result.data(), result.size());
-  put_u32(p + payload_len, mp::crc32({p, payload_len}));
+  put_u32(p + payload_len, crc32({p, payload_len}));
   if (!write_all(fd_, buf.data(), buf.size())) {
     // A partial write (e.g. ENOSPC mid-record) leaves a torn record at the
     // tail; truncate back to the last good boundary so later appends stay

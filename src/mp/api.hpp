@@ -48,8 +48,9 @@ RunOutcome run_spmd_with_profile(host::PlatformId platform, int nprocs, ToolKind
 /// fault::FaultyNetwork driven by `plan`. A disabled plan (all rates zero,
 /// no flap windows) takes the ordinary reliable path and produces
 /// bit-identical timings to run_spmd(); an armed plan switches the kernel
-/// to its reliable transport (sequencing, CRC, ack/retransmit). Throws
-/// TransportFailure if a message exhausts its retransmission budget.
+/// to its reliable transport (sequencing, corrupt-frame rejection,
+/// ack/retransmit). Throws TransportFailure if a message exhausts its
+/// retransmission budget.
 RunOutcome run_spmd_faulty(host::PlatformId platform, int nprocs, ToolKind tool,
                            const fault::FaultPlan& plan, const RankProgram& program);
 

@@ -128,11 +128,8 @@ sim::Task<void> Communicator::send(int dst, int tag, Payload payload) {
     const sim::Duration per_packet_recv = packets_for(n) * prof.per_packet_recv;
     rt_.sim().schedule_at(e1, [rt, src_rank, dst, n, background, recv_copies,
                                per_packet_recv, trace_id, msg = std::move(msg)]() mutable {
-      // Hoist before the call: `msg` is moved into the continuation, and
-      // argument evaluation order is unspecified.
-      Payload frame = msg.data;
       rt->kernel_transfer(
-          src_rank, dst, n, std::move(frame),
+          src_rank, dst, n,
           [rt, dst, n, background, recv_copies, per_packet_recv,
            msg = std::move(msg)](sim::TimePoint t2) mutable {
             if (background) {
@@ -158,8 +155,7 @@ sim::Task<void> Communicator::send(int dst, int tag, Payload payload) {
     // PvmRouteDirect: task-to-task TCP, no daemons, no fragment/ack wire
     // protocol; the send stays asynchronous (buffer handed to the kernel).
     Runtime* rt = &rt_;
-    Payload frame = msg.data;
-    rt_.kernel_transfer(rank_, dst, n, std::move(frame),
+    rt_.kernel_transfer(rank_, dst, n,
                         [rt, dst, msg = std::move(msg)](sim::TimePoint t2) mutable {
                           rt->deliver_at(t2, dst, std::move(msg));
                         },
@@ -194,9 +190,8 @@ sim::Task<void> Communicator::send(int dst, int tag, Payload payload) {
     rt_.sim().schedule_at(
         d1, [rt, src_rank, dst, n, service, latency, daemon_hop, wire_protocol,
              trace_id, msg = std::move(msg)]() mutable {
-          Payload frame = msg.data;
           rt->kernel_transfer(
-              src_rank, dst, n, std::move(frame),
+              src_rank, dst, n,
               [rt, dst, service, latency, daemon_hop, msg = std::move(msg)](
                   sim::TimePoint) mutable {
                 const sim::TimePoint d2 =
@@ -214,9 +209,8 @@ sim::Task<void> Communicator::send(int dst, int tag, Payload payload) {
   const bool background = prof.recv_in_background;
   const double recv_copies = prof.recv_copies;
   const sim::Duration per_packet_recv = packets_for(n) * prof.per_packet_recv;
-  Payload frame = msg.data;
   const sim::TimePoint t1 = rt_.kernel_transfer(
-      rank_, dst, n, std::move(frame),
+      rank_, dst, n,
       [rt, dst, n, background, recv_copies, per_packet_recv,
        msg = std::move(msg)](sim::TimePoint t2) mutable {
         if (background) {

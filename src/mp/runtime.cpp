@@ -1,11 +1,9 @@
 #include "mp/runtime.hpp"
 
 #include <algorithm>
-#include <span>
 #include <string>
 #include <utility>
 
-#include "mp/checksum.hpp"
 #include "mp/communicator.hpp"
 #include "trace/probe.hpp"
 
@@ -13,30 +11,23 @@ namespace pdc::mp {
 
 namespace {
 
-constexpr std::int64_t kAckBytes = 64;       // sequence + CRC + framing
-constexpr int kMaxAttempts = 64;             // then TransportFailure
-constexpr int kMaxBackoffShift = 8;          // RTO doubling cap: base * 2^8
-constexpr std::uint32_t kCorruptMask = 0xDEADBEEFu;  // wire CRC perturbation
-
-[[nodiscard]] std::uint32_t payload_crc(const Payload& p) noexcept {
-  if (!p) return crc32({});
-  return crc32(std::span<const std::byte>(p->data(), p->size()));
-}
+constexpr std::int64_t kAckBytes = 64;  // sequence + CRC + framing
+constexpr int kMaxAttempts = 64;        // then TransportFailure
+constexpr int kMaxBackoffShift = 8;     // RTO doubling cap: base * 2^8
 
 }  // namespace
 
 /// One reliable-transport message. Shared between the sender side (attempt
-/// counter, retransmission deadline) and the receiver side (payload,
-/// delivery continuation) -- the simulation is single-threaded, so this is
-/// bookkeeping, not shared-memory cheating: every field change happens at a
-/// definite simulated time on the side that owns it.
+/// counter, retransmission deadline) and the receiver side (the delivery
+/// continuation, which carries the payload) -- the simulation is
+/// single-threaded, so this is bookkeeping, not shared-memory cheating:
+/// every field change happens at a definite simulated time on the side
+/// that owns it.
 struct Runtime::Flight {
   int src{0};
   int dst{0};
   std::int64_t bytes{0};
   std::uint64_t seq{0};
-  std::uint32_t crc{0};                 // CRC32 of `data`, computed at send
-  Payload data;
   sim::PooledFunction<void(sim::TimePoint)> delivered;
   std::optional<net::ChunkProtocol> chunked;
   std::uint64_t trace_id{0};            // message correlation id (0: untraced)
@@ -89,7 +80,7 @@ TransportStats Runtime::transport_total() const noexcept {
   return total;
 }
 
-sim::TimePoint Runtime::kernel_transfer(int src, int dst, std::int64_t bytes, Payload wire_data,
+sim::TimePoint Runtime::kernel_transfer(int src, int dst, std::int64_t bytes,
                                         sim::PooledFunction<void(sim::TimePoint)> delivered,
                                         std::optional<net::ChunkProtocol> chunked,
                                         std::uint64_t trace_id) {
@@ -101,7 +92,7 @@ sim::TimePoint Runtime::kernel_transfer(int src, int dst, std::int64_t bytes, Pa
 
   if (reliable_wire_) {
     // Fast path: the wire delivers every frame intact exactly once, so no
-    // sequencing/checksum/ack machinery runs (and fault-free timings stay
+    // sequencing/reject/ack machinery runs (and fault-free timings stay
     // bit-identical to the pre-fault kernel).
     simulation.schedule_at(t1, [this, src, dst, bytes, chunked, trace_id,
                                 delivered = std::move(delivered)]() mutable {
@@ -134,8 +125,6 @@ sim::TimePoint Runtime::kernel_transfer(int src, int dst, std::int64_t bytes, Pa
   flight->dst = dst;
   flight->bytes = bytes;
   flight->seq = tx_seq(src, dst)++;  // send order == t1 order (FIFO src stack)
-  flight->crc = payload_crc(wire_data);
-  flight->data = std::move(wire_data);
   flight->delivered = std::move(delivered);
   flight->chunked = chunked;
   flight->trace_id = trace_id;
@@ -211,14 +200,17 @@ void Runtime::transmit_attempt(const std::shared_ptr<Flight>& flight) {
     arm_retransmit(flight, flight->deadline);
     return;
   }
-  const std::uint32_t wire_crc = d.corrupted ? (flight->crc ^ kCorruptMask) : flight->crc;
-  sim().schedule_at(d.arrival, [this, flight, wire_crc] { on_data_frame(flight, wire_crc); });
+  // The frame carries the wire's corruption verdict instead of a payload
+  // CRC: the wire never alters a payload byte (`Payload` points at const
+  // bytes), so a receiver-side checksum could only re-derive this flag.
+  const bool corrupted = d.corrupted;
+  sim().schedule_at(d.arrival, [this, flight, corrupted] { on_data_frame(flight, corrupted); });
   if (d.duplicated) {
     sim().schedule_at(d.dup_arrival,
-                      [this, flight, wire_crc] { on_data_frame(flight, wire_crc); });
+                      [this, flight, corrupted] { on_data_frame(flight, corrupted); });
   }
-  if (d.corrupted) {
-    // The receiver will reject both copies on CRC and stay silent.
+  if (corrupted) {
+    // The receiver will reject both copies and stay silent.
     arm_retransmit(flight, flight->deadline);
   }
 }
@@ -244,8 +236,8 @@ void Runtime::arm_retransmit(const std::shared_ptr<Flight>& flight, sim::TimePoi
   });
 }
 
-void Runtime::on_data_frame(const std::shared_ptr<Flight>& flight, std::uint32_t wire_crc) {
-  if (payload_crc(flight->data) != wire_crc) {
+void Runtime::on_data_frame(const std::shared_ptr<Flight>& flight, bool corrupted) {
+  if (corrupted) {
     ++transport_[static_cast<std::size_t>(flight->dst)].corrupt_rejected;
     PDC_TRACE_BLOCK {
       trace::emit({.t_ns = sim().now().ns,
@@ -296,8 +288,8 @@ void Runtime::send_ack(const std::shared_ptr<Flight>& flight) {
   const net::Delivery a =
       network.transmit(node_of(flight->dst), node_of(flight->src), kAckBytes);
   if (a.dropped || a.corrupted) {
-    // Lost ack (a corrupted ack fails the sender's CRC and is dropped
-    // there). Charged to this rank: it transmitted the frame the wire ate.
+    // Lost ack (the sender rejects a corrupted ack, so it is as good as
+    // dropped). Charged to this rank: it transmitted the frame the wire ate.
     ++transport_[static_cast<std::size_t>(flight->dst)].drops_seen;
     PDC_TRACE_BLOCK {
       trace::emit({.t_ns = sim().now().ns,

@@ -11,9 +11,12 @@
 // exactly that three-hop chain. When the cluster's network reports
 // `reliable() == false` (the fault-injection decorator with an armed plan)
 // the kernel switches to a reliable transport: per-link sequence numbers,
-// CRC32 on the payload, receiver-side dedup and in-order release, and
-// ack/timeout/retransmission with capped exponential backoff -- all as
-// scheduled events on the same queue, so runs stay bit-reproducible.
+// rejection of frames the wire corrupted, receiver-side dedup and in-order
+// release, and ack/timeout/retransmission with capped exponential backoff
+// -- all as scheduled events on the same queue, so runs stay
+// bit-reproducible. A frame carries the wire's corruption verdict rather
+// than a payload CRC: payload bytes are shared and immutable, so a CRC
+// recomputed at the receiver would only re-derive that verdict.
 #pragma once
 
 #include <cstdint>
@@ -156,15 +159,14 @@ class Runtime {
   /// Push `bytes` through sender stack -> network -> receiver stack,
   /// starting now. Returns the sender-stack completion time (what a
   /// blocking send waits for); invokes `delivered` (via the scheduler) when
-  /// the receiver's kernel has the data. `wire_data` is the payload the
-  /// frame carries (checksummed by the reliable transport; may be null for
-  /// overhead-only transfers). `chunked` selects the fragment+ack wire
-  /// protocol (PVM daemon traffic). The continuation rides in a
-  /// pool-backed callable so per-message delivery never hits malloc.
+  /// the receiver's kernel has the data; the payload itself travels in
+  /// that continuation. `chunked` selects the fragment+ack wire protocol
+  /// (PVM daemon traffic). The continuation rides in a pool-backed
+  /// callable so per-message delivery never hits malloc.
   /// `trace_id` correlates the wire hops with the originating send's trace
   /// records; 0 (the default, and always when tracing is inactive) records
   /// nothing.
-  sim::TimePoint kernel_transfer(int src, int dst, std::int64_t bytes, Payload wire_data,
+  sim::TimePoint kernel_transfer(int src, int dst, std::int64_t bytes,
                                  sim::PooledFunction<void(sim::TimePoint)> delivered,
                                  std::optional<net::ChunkProtocol> chunked = std::nullopt,
                                  std::uint64_t trace_id = 0);
@@ -227,7 +229,7 @@ class Runtime {
   void reliable_transfer(std::shared_ptr<Flight> flight, sim::TimePoint at);
   void transmit_attempt(const std::shared_ptr<Flight>& flight);
   void arm_retransmit(const std::shared_ptr<Flight>& flight, sim::TimePoint at);
-  void on_data_frame(const std::shared_ptr<Flight>& flight, std::uint32_t wire_crc);
+  void on_data_frame(const std::shared_ptr<Flight>& flight, bool corrupted);
   void send_ack(const std::shared_ptr<Flight>& flight);
   void release_to_receiver(const std::shared_ptr<Flight>& flight);
   [[nodiscard]] sim::Duration rto(const Flight& flight) const noexcept;

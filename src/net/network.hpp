@@ -34,7 +34,7 @@ struct ChunkProtocol {
 struct Delivery {
   sim::TimePoint arrival;        ///< last byte at dst's NIC (includes reorder jitter)
   bool dropped{false};           ///< frame lost in transit; nothing arrives
-  bool corrupted{false};         ///< arrives, but payload bits flipped (CRC-detectable)
+  bool corrupted{false};         ///< arrives damaged; the receiver must reject it
   bool duplicated{false};        ///< a stale second copy also arrives
   sim::TimePoint dup_arrival;    ///< arrival of the duplicate (when duplicated)
 };

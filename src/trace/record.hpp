@@ -25,7 +25,7 @@
 //                                                                   peer=dst, bytes=wire
 //   Retransmit     fire time   attempt        --          link seq  reliable transport
 //   FrameDrop      detect      attempt        --          link seq  wire ate a frame/ack
-//   CorruptReject  arrival     --             --          link seq  CRC mismatch at rank
+//   CorruptReject  arrival     --             --          link seq  corrupt frame rejected
 //   DupDiscard     arrival     --             --          link seq  receiver dedup hit
 //   EventDispatch  fire time   events so far  queue size  --        sim kernel (verbose)
 //   HostWork       0           wall ns        --          --        host-side kernel span
@@ -69,7 +69,7 @@ enum class CollOp : std::int64_t { Broadcast = 0, Barrier = 1, GlobalSum = 2 };
 enum Category : std::uint32_t {
   kCatMp = 1u << 0,         ///< send/recv/collective/compute/pack spans
   kCatNet = 1u << 1,        ///< link-level frames + message wire hops
-  kCatTransport = 1u << 2,  ///< reliable-transport retransmit/dedup/CRC
+  kCatTransport = 1u << 2,  ///< reliable-transport retransmit/dedup/reject
   kCatSim = 1u << 3,        ///< per-event kernel dispatch (very verbose)
   kCatHost = 1u << 4,       ///< host wall-clock kernel spans (nondeterministic)
   kCatSched = 1u << 5,      ///< scheduler lifecycle (submit/place/start/complete)

@@ -13,16 +13,17 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "eval/cell.hpp"
+#include "evald/checksum.hpp"
 #include "evald/client.hpp"
 #include "evald/server.hpp"
 #include "evald/store.hpp"
 #include "fault/plan.hpp"
-#include "mp/checksum.hpp"
 #include "../tools/cell_args.hpp"
 
 namespace pdc::evald {
@@ -86,6 +87,29 @@ SchedCell infeasible_sched_cell() {
 std::vector<CellSpec> sample_specs() {
   return {CellSpec::of(faulted_tpl_cell()), CellSpec::of(small_app_cell()),
           CellSpec::of(small_sched_cell())};
+}
+
+// -- CRC32 ------------------------------------------------------------------
+
+std::span<const std::byte> bytes_of(const char* s) {
+  return {reinterpret_cast<const std::byte*>(s), std::strlen(s)};
+}
+
+TEST(Crc32, MatchesIeeeCheckValue) {
+  EXPECT_EQ(crc32(bytes_of("123456789")), 0xCBF43926u);
+}
+
+TEST(Crc32, EmptyInputIsZero) { EXPECT_EQ(crc32({}), 0u); }
+
+TEST(Crc32, DetectsSingleBitFlips) {
+  mp::Bytes data(256);
+  for (std::size_t i = 0; i < data.size(); ++i) data[i] = std::byte(i * 7 + 1);
+  const std::uint32_t good = crc32(data);
+  for (std::size_t i = 0; i < data.size(); i += 37) {
+    mp::Bytes flipped = data;
+    flipped[i] ^= std::byte{0x10};
+    EXPECT_NE(crc32(flipped), good) << "flip at byte " << i;
+  }
 }
 
 // -- canonical codec --------------------------------------------------------
@@ -378,7 +402,7 @@ TEST(Framing, CorruptedCrcIsRejectedWithCleanClose) {
   const int fd = connect_raw(live.path());
   const auto payload = encode_ping();
   const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
-  std::uint32_t crc = mp::crc32(payload) ^ 0x1u;  // one bit off
+  std::uint32_t crc = crc32(payload) ^ 0x1u;  // one bit off
   send_raw(fd, &len, sizeof(len));
   send_raw(fd, payload.data(), payload.size());
   send_raw(fd, &crc, sizeof(crc));

@@ -1,19 +1,22 @@
-// Fault-injection + reliable-transport tests: the CRC and RNG-stream
-// building blocks, the FaultyNetwork decorator's contract (deterministic,
-// zero-plan == passthrough), and the transport's recovery guarantees under
-// drop / corruption / duplication / reordering / link flaps.
+// Fault-injection + reliable-transport tests: the RNG-stream building
+// blocks, the FaultyNetwork decorator's contract (deterministic,
+// zero-plan == passthrough), the transport's recovery guarantees under
+// drop / corruption / duplication / reordering / link flaps, and a byte pin
+// over corrupting and duplicating cells.
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <array>
 #include <numbers>
+#include <span>
 #include <vector>
 
 #include "apps/mc/montecarlo.hpp"
+#include "eval/cell.hpp"
 #include "eval/tpl.hpp"
 #include "fault/faulty_network.hpp"
 #include "fault/plan.hpp"
+#include "host/platform.hpp"
 #include "mp/api.hpp"
-#include "mp/checksum.hpp"
 #include "mp/pack.hpp"
 #include "sim/rng.hpp"
 
@@ -23,29 +26,6 @@ namespace {
 using fault::FaultPlan;
 using host::PlatformId;
 using mp::ToolKind;
-
-// ---------- CRC32 -----------------------------------------------------------
-
-std::span<const std::byte> bytes_of(const char* s) {
-  return {reinterpret_cast<const std::byte*>(s), std::strlen(s)};
-}
-
-TEST(Crc32, MatchesIeeeCheckValue) {
-  EXPECT_EQ(mp::crc32(bytes_of("123456789")), 0xCBF43926u);
-}
-
-TEST(Crc32, EmptyInputIsZero) { EXPECT_EQ(mp::crc32({}), 0u); }
-
-TEST(Crc32, DetectsSingleBitFlips) {
-  mp::Bytes data(256);
-  for (std::size_t i = 0; i < data.size(); ++i) data[i] = std::byte(i * 7 + 1);
-  const std::uint32_t good = mp::crc32(data);
-  for (std::size_t i = 0; i < data.size(); i += 37) {
-    mp::Bytes flipped = data;
-    flipped[i] ^= std::byte{0x10};
-    EXPECT_NE(mp::crc32(flipped), good) << "flip at byte " << i;
-  }
-}
 
 // ---------- named RNG streams (satellite: stream-splitting audit) -----------
 
@@ -295,6 +275,78 @@ TEST(FaultDeterminism, DifferentSeedsDiverge) {
   EXPECT_EQ(r1, r2);
   // ...but the injected fault sequence (and hence timing) differs.
   EXPECT_NE(a.elapsed.ns, b.elapsed.ns);
+}
+
+// ---------- absolute byte pin over corrupting and duplicating cells ---------
+
+/// 64-bit FNV-1a, folded over `bytes` starting from `h`.
+std::uint64_t fnv1a(std::uint64_t h, std::span<const std::byte> bytes) {
+  for (const std::byte b : bytes) {
+    h ^= static_cast<std::uint64_t>(b);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(FaultGolden, CorruptingCellsMatchPinnedDigest) {
+  // SendRecv (2 ranks) and Ring (4 ranks) on every paper platform, every
+  // tool, {1, 8, 64} KiB, under the service mix and a heavy mix that
+  // corrupts, duplicates and reorders. TPL results encode only the
+  // simulated time, so the summed transport counters are folded in too:
+  // the digest moves if a single rejection, discard or retransmit does.
+  // The constant was captured before the transport stopped checksumming
+  // payloads; it pins that the corruption verdict is unchanged.
+  const FaultPlan mixes[] = {
+      FaultPlan::uniform(0.03, 0.01, 0.01, 0.0, sim::microseconds(200)),
+      FaultPlan::uniform(0.05, 0.2, 0.2, 0.2, sim::microseconds(500)),
+  };
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  std::uint64_t seed = 0xC0DE;
+  const mp::TransportStats before = mp::transport_accumulator().transport;
+  int cells = 0;
+  for (const auto primitive : {eval::Primitive::SendRecv, eval::Primitive::Ring}) {
+    for (const auto platform : host::all_platforms()) {
+      for (const auto tool : mp::all_tools()) {
+        for (const std::int64_t kib : {1, 8, 64}) {
+          for (FaultPlan plan : mixes) {
+            plan.seed = seed++;
+            const eval::TplCell cell{.primitive = primitive,
+                                     .platform = platform,
+                                     .tool = tool,
+                                     .bytes = kib * 1024,
+                                     .procs = primitive == eval::Primitive::Ring ? 4 : 2,
+                                     .faults = plan};
+            const eval::CellResult result = eval::run_cell(eval::CellSpec::of(cell));
+            ASSERT_EQ(result.status, eval::CellStatus::Ok) << result.error;
+            digest = fnv1a(digest, eval::encode_result(result));
+            ++cells;
+          }
+        }
+      }
+    }
+  }
+  const mp::TransportStats after = mp::transport_accumulator().transport;
+  const mp::TransportStats delta{
+      .retransmits = after.retransmits - before.retransmits,
+      .drops_seen = after.drops_seen - before.drops_seen,
+      .corrupt_rejected = after.corrupt_rejected - before.corrupt_rejected,
+      .dup_discarded = after.dup_discarded - before.dup_discarded};
+  for (const std::int64_t v :
+       {delta.retransmits, delta.drops_seen, delta.corrupt_rejected, delta.dup_discarded}) {
+    std::array<std::byte, 8> le{};  // little-endian, as encode_result writes
+    for (std::size_t i = 0; i < le.size(); ++i) {
+      le[i] = static_cast<std::byte>(static_cast<std::uint64_t>(v) >> (8 * i));
+    }
+    digest = fnv1a(digest, le);
+  }
+  EXPECT_EQ(cells, 216);
+  // The pin must cover the paths it exists for.
+  EXPECT_GT(delta.corrupt_rejected, 0);
+  EXPECT_GT(delta.dup_discarded, 0);
+  EXPECT_EQ(digest, 0xd1c71dd85af12969ULL) << std::hex << "digest 0x" << digest << std::dec
+                            << " retransmits " << delta.retransmits << " drops "
+                            << delta.drops_seen << " corrupt " << delta.corrupt_rejected
+                            << " dup " << delta.dup_discarded;
 }
 
 // ---------- satellite: MC results immune to the fault RNG stream ------------
