@@ -1,10 +1,8 @@
 // Wall-clock cost of the trace subsystem (google-benchmark): the per-record
 // emit path, category-mask rejection, capture overhead on a real evaluation
-// cell, and -- the number the PDC_TRACE=OFF default build stands on -- the
-// cost of running a cell with probes compiled in but no sink installed.
-// Emit-path benches drive the Sink directly, so they measure the same code
-// in both build flavours; the cell benches report `traced_ratio` so CI can
-// assert the disabled path stays within noise of the baseline.
+// cell, and the dormant cost every build pays: a probe with no sink
+// installed (BM_TraceEmitNoSink) and a whole cell run that way
+// (BM_TplCellUntraced).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -54,8 +52,8 @@ void BM_TraceEmitMasked(benchmark::State& state) {
 }
 
 // The free-function probe body with no sink installed: one thread-local
-// load and a null test. This is the runtime-disabled cost every compiled-in
-// probe pays.
+// load and a null test. This is the cost every probe pays while no capture
+// is installed.
 void BM_TraceEmitNoSink(benchmark::State& state) {
   std::int64_t t = 0;
   for (auto _ : state) {
@@ -72,10 +70,8 @@ eval::CellSpec bench_cell() {
   return eval::CellSpec::of(cell);
 }
 
-// Baseline: the Table-3 send/recv cell exactly as the sweep runs it. In the
-// default build this is probe-free code; in a PDC_TRACE=ON build the probes
-// are present but dormant (no sink). Comparing this bench across the two
-// build flavours is the compiled-in-overhead measurement CI performs.
+// Baseline: the Table-3 send/recv cell exactly as the sweep runs it, its
+// probes present but dormant (no sink).
 void BM_TplCellUntraced(benchmark::State& state) {
   const auto cell = bench_cell();
   for (auto _ : state) {
@@ -84,9 +80,8 @@ void BM_TplCellUntraced(benchmark::State& state) {
   }
 }
 
-// The same cell with a live capture: full record stream into the ring.
-// In the OFF build the stream is empty, so the delta vs untraced is the
-// capture plumbing only; in the ON build it is the true per-run emit cost.
+// The same cell with a live capture: full record stream into the ring, so
+// the delta vs untraced is the per-run emit cost.
 void BM_TplCellTraced(benchmark::State& state) {
   const auto cell = bench_cell();
   std::uint64_t emitted = 0;
@@ -97,12 +92,10 @@ void BM_TplCellTraced(benchmark::State& state) {
   }
   state.counters["records_per_run"] = benchmark::Counter(
       static_cast<double>(emitted) / static_cast<double>(state.iterations()));
-  state.counters["compiled_in"] =
-      benchmark::Counter(eval::trace_compiled_in() ? 1 : 0);
 }
 
-// Post-run analysis + export cost over a real captured stream (ON build) or
-// an empty one (OFF build) -- bounds what `pdctrace --report --json` adds.
+// Post-run analysis + export cost over a real captured stream -- bounds what
+// `pdctrace --report --json` adds.
 void BM_TraceAnalyzeAndExport(benchmark::State& state) {
   const auto traced = eval::run_cell_traced(bench_cell());
   for (auto _ : state) {

@@ -3,11 +3,7 @@
 // Any cell of the evaluation grid (TPL, APL or scheduler) can be re-run
 // with a trace capture installed: the cell executes exactly as run_cell
 // runs it (same Simulation, same seed, same fault plan) and the returned
-// record stream describes it event-by-event. With tracing compiled out
-// (PDC_TRACE=OFF, the default) run_cell_traced still runs the cell and
-// returns the same result -- the record vector is just empty -- so callers
-// (the pdctrace CLI, tests) degrade gracefully rather than fork their
-// logic on the build flavour.
+// record stream describes it event-by-event.
 #pragma once
 
 #include <cstddef>
@@ -25,20 +21,11 @@ struct TraceCapture {
   std::uint32_t mask{trace::kDefaultMask};              ///< category filter
 };
 
-/// True when the build carries the probes (PDC_TRACE=ON).
-[[nodiscard]] constexpr bool trace_compiled_in() noexcept {
-#ifdef PDC_TRACE_ENABLED
-  return true;
-#else
-  return false;
-#endif
-}
-
 struct TracedCell {
   CellResult result;                   ///< the bytes run_cell returns
-  std::vector<trace::Record> records;  ///< empty when probes are compiled out
+  std::vector<trace::Record> records;  ///< empty for an Error cell
   trace::SinkStats stats;
-  std::size_t capacity{0};  ///< ring slots allocated (0 when compiled out)
+  std::size_t capacity{0};  ///< ring slots allocated
 };
 
 /// Run one cell of any kind with a capture installed on this thread. Like

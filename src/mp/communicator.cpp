@@ -4,7 +4,7 @@
 #include <stdexcept>
 
 #include "mp/pack.hpp"
-#include "trace/probe.hpp"
+#include "trace/sink.hpp"
 
 namespace pdc::mp {
 
@@ -61,9 +61,9 @@ sim::Task<void> Communicator::send(int dst, int tag, Payload payload) {
   const std::int64_t n = payload ? static_cast<std::int64_t>(payload->size()) : 0;
   const auto& prof = profile();
 
-  [[maybe_unused]] std::uint64_t trace_id = 0;
-  [[maybe_unused]] std::int64_t send_begin_ns = 0;
-  PDC_TRACE_BLOCK {
+  std::uint64_t trace_id = 0;
+  std::int64_t send_begin_ns = 0;
+  if (trace::active()) {
     trace_id = rt_.next_trace_msg_id();
     send_begin_ns = sim().now().ns;
     trace::emit({.t_ns = send_begin_ns,
@@ -77,7 +77,7 @@ sim::Task<void> Communicator::send(int dst, int tag, Payload payload) {
   // Closes the blocking span at each of send's exits (the blocking shapes
   // differ per tool: see the co_returns below).
   auto emit_send_end = [&] {
-    PDC_TRACE_BLOCK {
+    if (trace::active()) {
       trace::emit({.t_ns = sim().now().ns,
                    .bytes = n,
                    .aux1 = send_begin_ns,
@@ -93,7 +93,7 @@ sim::Task<void> Communicator::send(int dst, int tag, Payload payload) {
   // application only pays the fixed handoff; the copies/packetisation run
   // on the engine ahead of the wire.
   const sim::Duration app_cost = prof.send_in_background ? prof.send_fixed : send_side_cost(n);
-  PDC_TRACE_BLOCK {
+  if (trace::active()) {
     trace::emit({.t_ns = sim().now().ns,
                  .bytes = n,
                  .aux0 = app_cost.ns,
@@ -231,18 +231,18 @@ sim::Task<void> Communicator::send(int dst, int tag, Payload payload) {
 }
 
 sim::Task<Message> Communicator::recv(int src, int tag) {
-  [[maybe_unused]] std::int64_t recv_begin_ns = 0;
-  PDC_TRACE_BLOCK { recv_begin_ns = sim().now().ns; }
+  std::int64_t recv_begin_ns = 0;
+  if (trace::active()) { recv_begin_ns = sim().now().ns; }
   Message m = co_await rt_.mailbox(rank_).recv(TagSourceMatch{src, tag});
-  [[maybe_unused]] std::int64_t match_ns = 0;
-  PDC_TRACE_BLOCK { match_ns = sim().now().ns; }
+  std::int64_t match_ns = 0;
+  if (trace::active()) { match_ns = sim().now().ns; }
   const auto& prof = profile();
   sim::Duration post = prof.recv_fixed;
   if (!prof.recv_in_background) {
     // In-process unpack (PVM XDR decode, p4 buffer copy).
     post += sim::from_seconds(prof.recv_copies * node().cpu().copy(m.size_bytes()).seconds());
   }
-  PDC_TRACE_BLOCK {
+  if (trace::active()) {
     trace::emit({.t_ns = match_ns,
                  .bytes = m.size_bytes(),
                  .aux0 = post.ns,
@@ -253,7 +253,7 @@ sim::Task<Message> Communicator::recv(int src, int tag) {
                  .tag = m.tag});
   }
   co_await sim().delay(post);
-  PDC_TRACE_BLOCK {
+  if (trace::active()) {
     trace::emit({.t_ns = sim().now().ns,
                  .bytes = m.size_bytes(),
                  .aux0 = match_ns,
@@ -275,11 +275,11 @@ namespace {
 /// a coroutine local: its destructor runs when the coroutine body exits (on
 /// any co_return path), which is exactly the collective's completion time
 /// on this rank.
-class [[maybe_unused]] CollSpan {
+class CollSpan {
  public:
   CollSpan(sim::Simulation& sim, int rank, trace::CollOp op) noexcept
       : sim_(sim), rank_(rank), op_(op) {
-    PDC_TRACE_BLOCK {
+    if (trace::active()) {
       armed_ = true;
       begin_ns_ = sim_.now().ns;
       trace::emit({.t_ns = begin_ns_,
@@ -289,7 +289,7 @@ class [[maybe_unused]] CollSpan {
     }
   }
   ~CollSpan() {
-    PDC_TRACE_BLOCK {
+    if (trace::active()) {
       if (armed_) {
         trace::emit({.t_ns = sim_.now().ns,
                      .aux0 = static_cast<std::int64_t>(op_),
@@ -589,8 +589,8 @@ sim::Task<void> Communicator::global_sum(std::vector<std::int32_t>& v) {
 
 namespace {
 
-[[maybe_unused]] void emit_compute(sim::Simulation& sim, int rank, sim::Duration d) {
-  PDC_TRACE_BLOCK {
+void emit_compute(sim::Simulation& sim, int rank, sim::Duration d) {
+  if (trace::active()) {
     trace::emit({.t_ns = sim.now().ns,
                  .aux0 = d.ns,
                  .kind = trace::Kind::Compute,

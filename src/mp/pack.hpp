@@ -80,8 +80,9 @@ class Packer {
   template <typename T>
     requires std::is_trivially_copyable_v<T>
   Packer& put(const T& value) {
-    const auto* p = reinterpret_cast<const std::byte*>(&value);
-    buf_.insert(buf_.end(), p, p + sizeof(T));
+    const std::size_t at = buf_.size();
+    buf_.resize(at + sizeof(T));
+    std::memcpy(buf_.data() + at, &value, sizeof(T));
     return *this;
   }
 

@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "mp/communicator.hpp"
-#include "trace/probe.hpp"
+#include "trace/sink.hpp"
 
 namespace pdc::mp {
 
@@ -101,7 +101,7 @@ sim::TimePoint Runtime::kernel_transfer(int src, int dst, std::int64_t bytes,
       const sim::TimePoint arrival =
           chunked ? cluster_.network().transfer_chunked(s, d, bytes, *chunked)
                   : cluster_.network().transfer(s, d, bytes);
-      PDC_TRACE_BLOCK {
+      if (trace::active()) {
         trace::emit({.t_ns = sim().now().ns,
                      .bytes = bytes,
                      .aux0 = arrival.ns,
@@ -166,7 +166,7 @@ void Runtime::transmit_attempt(const std::shared_ptr<Flight>& flight) {
           ? network.transmit_chunked(src_node, dst_node, flight->bytes, *flight->chunked)
           : network.transmit(src_node, dst_node, flight->bytes);
   flight->deadline = sim().now() + rto(*flight);
-  PDC_TRACE_BLOCK {
+  if (trace::active()) {
     if (!d.dropped) {
       trace::emit({.t_ns = sim().now().ns,
                    .bytes = flight->bytes,
@@ -188,7 +188,7 @@ void Runtime::transmit_attempt(const std::shared_ptr<Flight>& flight) {
   // only the pointless no-op events are skipped.
   if (d.dropped) {
     ++transport_[static_cast<std::size_t>(flight->src)].drops_seen;
-    PDC_TRACE_BLOCK {
+    if (trace::active()) {
       trace::emit({.t_ns = sim().now().ns,
                    .bytes = flight->bytes,
                    .aux0 = flight->attempt,
@@ -223,7 +223,7 @@ void Runtime::arm_retransmit(const std::shared_ptr<Flight>& flight, sim::TimePoi
     // lost ack for the same attempt) already retransmitted it.
     if (flight->completed || flight->attempt != armed_for) return;
     ++transport_[static_cast<std::size_t>(flight->src)].retransmits;
-    PDC_TRACE_BLOCK {
+    if (trace::active()) {
       trace::emit({.t_ns = sim().now().ns,
                    .bytes = flight->bytes,
                    .aux0 = armed_for,
@@ -239,7 +239,7 @@ void Runtime::arm_retransmit(const std::shared_ptr<Flight>& flight, sim::TimePoi
 void Runtime::on_data_frame(const std::shared_ptr<Flight>& flight, bool corrupted) {
   if (corrupted) {
     ++transport_[static_cast<std::size_t>(flight->dst)].corrupt_rejected;
-    PDC_TRACE_BLOCK {
+    if (trace::active()) {
       trace::emit({.t_ns = sim().now().ns,
                    .bytes = flight->bytes,
                    .id = flight->seq,
@@ -254,7 +254,7 @@ void Runtime::on_data_frame(const std::shared_ptr<Flight>& flight, bool corrupte
     // Duplicate (wire duplication or a spurious retransmission). Re-ack so
     // a sender that missed the first ack stops resending.
     ++transport_[static_cast<std::size_t>(flight->dst)].dup_discarded;
-    PDC_TRACE_BLOCK {
+    if (trace::active()) {
       trace::emit({.t_ns = sim().now().ns,
                    .bytes = flight->bytes,
                    .id = flight->seq,
@@ -291,7 +291,7 @@ void Runtime::send_ack(const std::shared_ptr<Flight>& flight) {
     // Lost ack (the sender rejects a corrupted ack, so it is as good as
     // dropped). Charged to this rank: it transmitted the frame the wire ate.
     ++transport_[static_cast<std::size_t>(flight->dst)].drops_seen;
-    PDC_TRACE_BLOCK {
+    if (trace::active()) {
       trace::emit({.t_ns = sim().now().ns,
                    .bytes = kAckBytes,
                    .aux0 = flight->attempt,

@@ -172,8 +172,7 @@ class Runtime {
                                  std::uint64_t trace_id = 0);
 
   /// Next message correlation id for trace records. Only called while a
-  /// capture is active, so untraced runs never touch the counter and stay
-  /// byte-identical whether or not tracing is compiled in.
+  /// capture is active, so untraced runs never touch the counter.
   [[nodiscard]] std::uint64_t next_trace_msg_id() noexcept { return ++trace_msg_seq_; }
 
   /// Hand a message to rank `dst`'s mailbox at time `at`.

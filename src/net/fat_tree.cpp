@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "trace/probe.hpp"
+#include "trace/sink.hpp"
 
 namespace pdc::net {
 
@@ -91,7 +91,7 @@ sim::TimePoint FatTreeNetwork::transfer(NodeId src, NodeId dst, std::int64_t byt
   // Sender occupies its tx port for access overhead + serialization.
   const sim::TimePoint tx_done =
       tx_.at(static_cast<std::size_t>(src)).reserve(params_.access_overhead + ser);
-  PDC_TRACE_BLOCK {
+  if (trace::active()) {
     trace::emit({.t_ns = sim_.now().ns,
                  .bytes = wire_bytes(bytes),
                  .aux0 = (tx_done - (params_.access_overhead + ser)).ns,

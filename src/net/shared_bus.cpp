@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "trace/probe.hpp"
+#include "trace/sink.hpp"
 
 namespace pdc::net {
 
@@ -48,7 +48,7 @@ sim::TimePoint SharedBusNetwork::transfer(NodeId src, NodeId dst, std::int64_t b
   const sim::Duration service = serialization(wire_bytes(bytes)) + frames * params_.per_frame_gap +
                                 collision_waste(frames);
   const sim::TimePoint done = channel_.reserve(service);
-  PDC_TRACE_BLOCK {
+  if (trace::active()) {
     trace::emit({.t_ns = sim_.now().ns,
                  .bytes = wire_bytes(bytes),
                  .aux0 = (done - service).ns,
@@ -78,7 +78,7 @@ sim::TimePoint SharedBusNetwork::transfer_chunked(NodeId src, NodeId dst, std::i
   const sim::Duration service =
       data_time + ack_time + collision_waste(frames + chunks);
   const sim::TimePoint done = channel_.reserve(service);
-  PDC_TRACE_BLOCK {
+  if (trace::active()) {
     trace::emit({.t_ns = sim_.now().ns,
                  .bytes = bytes + frames * params_.frame_overhead_bytes +
                           chunks * (protocol.ack_bytes + params_.frame_overhead_bytes),

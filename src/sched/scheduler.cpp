@@ -9,7 +9,7 @@
 #include "mp/api.hpp"
 #include "mp/communicator.hpp"
 #include "mp/profile.hpp"
-#include "trace/probe.hpp"
+#include "trace/sink.hpp"
 
 namespace pdc::sched {
 
@@ -56,7 +56,7 @@ void Scheduler::submit(JobSpec spec) {
 
 void Scheduler::on_arrival(std::size_t index) {
   Job& job = *jobs_.at(index);
-  PDC_TRACE_BLOCK {
+  if (trace::active()) {
     trace::emit({.t_ns = sim_.now().ns,
                  .aux0 = job.spec.ranks,
                  .kind = trace::Kind::SchedSubmit,
@@ -226,7 +226,7 @@ void Scheduler::launch(Job& job, int base) {
       cluster_, job.spec.tool, mp::tool_profile(job.spec.tool, cluster_.platform()),
       mp::NodeRange{base, job.spec.ranks});
   running_.push_back(&job);
-  PDC_TRACE_BLOCK {
+  if (trace::active()) {
     trace::emit({.t_ns = now.ns,
                  .aux0 = base,
                  .aux1 = job.spec.ranks,
@@ -254,7 +254,7 @@ void Scheduler::rank_finished(Job& job) {
   if (--job.remaining > 0) return;
   job.stats.state = JobState::Completed;
   job.stats.complete = sim_.now();
-  PDC_TRACE_BLOCK {
+  if (trace::active()) {
     trace::emit({.t_ns = job.stats.complete.ns,
                  .aux0 = job.stats.start.ns,
                  .aux1 = job.spec.ranks,

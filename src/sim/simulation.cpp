@@ -3,7 +3,7 @@
 #include <string>
 #include <utility>
 
-#include "trace/probe.hpp"
+#include "trace/sink.hpp"
 
 namespace pdc::sim {
 
@@ -32,7 +32,7 @@ TimePoint Simulation::run(TimePoint until) {
     }
     now_ = at;
     ++events_processed_;
-    PDC_TRACE_BLOCK {
+    if (trace::active()) {
       trace::emit({.t_ns = at.ns,
                    .aux0 = static_cast<std::int64_t>(events_processed_),
                    .aux1 = static_cast<std::int64_t>(queue_.size()),

@@ -108,10 +108,16 @@ std::string export_perfetto_json(std::span<const Record> records) {
   EventWriter w(out);
 
   // Track naming: process 0 holds one thread per rank, process 1 one thread
-  // per link (assigned in (src, dst) order).
+  // per link (assigned in (src, dst) order), process 2 one thread per
+  // scheduler user (scheduler records carry the user in `rank`).
   int max_rank = -1;
   std::map<std::pair<int, int>, int> link_tid;
+  std::set<int> users;
   for (const Record& r : records) {
+    if (category(r.kind) == kCatSched) {
+      users.insert(r.rank);
+      continue;
+    }
     if (r.rank > max_rank) max_rank = r.rank;
     if ((r.kind == Kind::SendBegin || r.kind == Kind::RecvEnd) && r.peer > max_rank) {
       max_rank = r.peer;
@@ -131,6 +137,11 @@ std::string export_perfetto_json(std::span<const Record> records) {
         .raw("args", "{\"name\":\"links\"}");
     w.end();
   }
+  if (!users.empty()) {
+    w.begin().str("ph", "M").str("name", "process_name").integer("pid", 2)
+        .raw("args", "{\"name\":\"scheduler\"}");
+    w.end();
+  }
   for (int rk = 0; rk <= max_rank; ++rk) {
     w.begin().str("ph", "M").str("name", "thread_name").integer("pid", 0)
         .integer("tid", rk)
@@ -144,6 +155,12 @@ std::string export_perfetto_json(std::span<const Record> records) {
                          std::to_string(key.second) + "\"}");
     w.end();
   }
+  for (int user : users) {
+    w.begin().str("ph", "M").str("name", "thread_name").integer("pid", 2)
+        .integer("tid", user)
+        .raw("args", "{\"name\":\"user " + std::to_string(user) + "\"}");
+    w.end();
+  }
 
   auto slice = [&](int rk, const std::string& name, std::int64_t t0, std::int64_t t1,
                    const std::string& args) {
@@ -152,11 +169,12 @@ std::string export_perfetto_json(std::span<const Record> records) {
     if (!args.empty()) w.raw("args", args);
     w.end();
   };
-  auto instant = [&](int rk, const std::string& name, std::int64_t t) {
-    w.begin().str("ph", "i").str("name", name).integer("pid", 0).integer("tid", rk)
+  auto instant = [&](int pid, int tid, const std::string& name, std::int64_t t) {
+    w.begin().str("ph", "i").str("name", name).integer("pid", pid).integer("tid", tid)
         .num("ts", us(t)).str("s", "t");
     w.end();
   };
+  auto job = [](const Record& r) { return "job " + std::to_string(r.tag); };
 
   for (const Record& r : records) {
     switch (r.kind) {
@@ -207,16 +225,31 @@ std::string export_perfetto_json(std::span<const Record> records) {
         break;
       }
       case Kind::Retransmit:
-        instant(r.rank, "retransmit", r.t_ns);
+        instant(0, r.rank, "retransmit", r.t_ns);
         break;
       case Kind::FrameDrop:
-        instant(r.rank, "frame-drop", r.t_ns);
+        instant(0, r.rank, "frame-drop", r.t_ns);
         break;
       case Kind::CorruptReject:
-        instant(r.rank, "corrupt-reject", r.t_ns);
+        instant(0, r.rank, "corrupt-reject", r.t_ns);
         break;
       case Kind::DupDiscard:
-        instant(r.rank, "dup-discard", r.t_ns);
+        instant(0, r.rank, "dup-discard", r.t_ns);
+        break;
+      case Kind::SchedSubmit:
+        instant(2, r.rank, "submit " + job(r), r.t_ns);
+        break;
+      case Kind::SchedPlace:
+        instant(2, r.rank, "place " + job(r), r.t_ns);
+        break;
+      case Kind::SchedStart:
+        instant(2, r.rank, "start " + job(r), r.t_ns);
+        break;
+      case Kind::SchedComplete:
+        w.begin().str("ph", "X").str("name", job(r)).integer("pid", 2).integer("tid", r.rank)
+            .num("ts", us(r.aux0)).num("dur", us(std::max<std::int64_t>(0, r.t_ns - r.aux0)))
+            .raw("args", "{\"ranks\":" + std::to_string(r.aux1) + "}");
+        w.end();
         break;
       case Kind::CollBegin:
       case Kind::MsgWire:

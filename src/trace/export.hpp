@@ -17,8 +17,9 @@ namespace pdc::trace {
 
 /// Serialize the stream as a Chrome trace-event JSON object
 /// (`{"displayTimeUnit":"ms","traceEvents":[...]}`). Ranks become threads
-/// of process 0, links threads of process 1; send->recv flows are keyed by
-/// message id.
+/// of process 0, links threads of process 1 and scheduler users threads of
+/// process 2, where each completed job is one "job <id>" slice from its
+/// start; send->recv flows are keyed by message id.
 [[nodiscard]] std::string export_perfetto_json(std::span<const Record> records);
 
 /// One row per record: `kind,t_ns,rank,peer,tag,bytes,id,aux0,aux1` with a

@@ -31,6 +31,11 @@
 //   HostWork       0           wall ns        --          --        host-side kernel span
 //                                                                   (wall clock -- excluded
 //                                                                   from determinism masks)
+//   SchedSubmit    arrival     ranks asked    --          --        rank=user, tag=job id
+//   SchedPlace     decision    base node      ranks       --        rank=user, tag=job id
+//   SchedStart     start       base node      --          --        rank=user, tag=job id
+//   SchedComplete  end         start          ranks       --        rank=user, tag=job id;
+//                                                                   job span [aux0, t]
 #pragma once
 
 #include <cstdint>

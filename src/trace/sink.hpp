@@ -8,10 +8,16 @@
 // as dropped, so a bounded capture always holds the most recent window.
 //
 // Installation is via a thread-local current-sink pointer (ScopedCapture).
-// The instrumentation probes compiled into the sim/mp/net/kernels layers
-// (see trace/probe.hpp) check that pointer: tracing disabled at runtime is
-// one thread-local load and a null test; tracing compiled out (the default
-// PDC_TRACE=OFF build) is no code at all.
+// Every build carries the instrumentation probes in the sim/mp/net/sched/
+// kernels layers, each written as
+//
+//   if (trace::active()) {
+//     trace::emit({.t_ns = sim.now().ns, .kind = trace::Kind::SendBegin, ...});
+//   }
+//
+// so with no capture installed a probe costs one thread-local load and a
+// null test. Installing a sink is per run (per sweep cell), so traced and
+// untraced cells coexist in one process.
 #pragma once
 
 #include <cstddef>

@@ -40,7 +40,9 @@ TEST(JpegCodec, DctOfConstantBlockIsDcOnly) {
   EXPECT_NEAR(freq[0][0], 800.0, 1e-9);  // 8 * mean
   for (int u = 0; u < 8; ++u) {
     for (int v = 0; v < 8; ++v) {
-      if (u || v) EXPECT_NEAR(freq[u][v], 0.0, 1e-9);
+      if (u || v) {
+        EXPECT_NEAR(freq[u][v], 0.0, 1e-9);
+      }
     }
   }
 }

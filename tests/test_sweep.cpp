@@ -312,9 +312,7 @@ TEST(SweepDeterminism, TraceStreamsAreBitIdenticalAcrossThreadCounts) {
   // Each cell re-run with a capture installed must produce the identical
   // record stream no matter which sweep worker executes it: the sink is
   // thread-local per cell and the simulation is single-threaded, so the
-  // stream is a pure function of the cell. In the default PDC_TRACE=OFF
-  // build the streams are empty and this degenerates to the timing check;
-  // the CI trace job runs it with the probes compiled in.
+  // stream is a pure function of the cell.
   std::vector<CellSpec> cells;
   for (auto tool : {ToolKind::P4, ToolKind::Pvm, ToolKind::Express}) {
     for (std::int64_t bytes : {16, 16384}) {
@@ -331,7 +329,7 @@ TEST(SweepDeterminism, TraceStreamsAreBitIdenticalAcrossThreadCounts) {
     return out;
   };
   const auto serial = run(1);
-  EXPECT_EQ(serial.front().records.empty(), !trace_compiled_in());
+  EXPECT_FALSE(serial.front().records.empty());
   for (unsigned threads : {2u, 8u}) {
     const auto fanned = run(threads);
     ASSERT_EQ(fanned.size(), serial.size());
@@ -354,7 +352,7 @@ TEST(TracedCell, SchedCellTracesWithTheSameResultBytes) {
   const TracedCell traced = run_cell_traced(spec);
   ASSERT_EQ(traced.result.status, CellStatus::Ok) << traced.result.error;
   EXPECT_EQ(encode_result(traced.result), encode_result(run_cell(spec)));
-  EXPECT_EQ(traced.records.empty(), !trace_compiled_in());
+  EXPECT_FALSE(traced.records.empty());
 }
 
 TEST(TracedCell, ErrorCellReturnsErrorWithAnEmptyStream) {

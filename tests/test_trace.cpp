@@ -1,7 +1,6 @@
 // pdceval -- trace subsystem unit tests: sink ring mechanics, analyses over
-// hand-built record streams, exporters and the JSON shape validator. These
-// run in every build flavour -- they feed records into the Sink directly,
-// so they need no compiled-in probes.
+// hand-built record streams, exporters and the JSON shape validator. They
+// feed records into the Sink directly, so they run no simulation.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -9,7 +8,7 @@
 
 #include "trace/analyze.hpp"
 #include "trace/export.hpp"
-#include "trace/probe.hpp"
+#include "trace/sink.hpp"
 
 namespace trace = pdc::trace;
 

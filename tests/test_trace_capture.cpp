@@ -1,4 +1,4 @@
-// pdceval -- end-to-end trace capture tests (built only when PDC_TRACE=ON).
+// pdceval -- end-to-end trace capture tests.
 //
 // These run real evaluation-grid cells with a capture installed and pin
 // (a) that tracing never perturbs the simulated timing, (b) that the
@@ -7,6 +7,8 @@
 // placement or the analyses shows up as an exact-integer diff here.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
 #include <vector>
 
 #include "eval/trace_cell.hpp"
@@ -31,10 +33,6 @@ eval::CellSpec ping_pong_cell() {
 }
 
 }  // namespace
-
-TEST(TraceCapture, ProbesAreCompiledIn) {
-  EXPECT_TRUE(eval::trace_compiled_in());
-}
 
 TEST(TraceCapture, TracedPingPongTimingIsBitIdenticalToUntraced) {
   const auto cell = ping_pong_cell();
@@ -92,6 +90,28 @@ TEST(TraceCapture, RingCriticalPathCoversMostOfTheMakespan) {
   for (std::size_t i = 1; i < cp.segments.size(); ++i) {
     EXPECT_GE(cp.segments[i].t0_ns, cp.segments[i - 1].t1_ns) << "segment " << i;
   }
+}
+
+TEST(TraceCapture, SchedCellExportsOneJobSlicePerJob) {
+  eval::SchedCell cell;
+  cell.njobs = 6;
+  const auto traced = eval::run_cell_traced(eval::CellSpec::of(cell));
+  ASSERT_EQ(traced.result.status, eval::CellStatus::Ok) << traced.result.error;
+  const std::string json = trace::export_perfetto_json(traced.records);
+  std::string error;
+  EXPECT_TRUE(trace::validate_json(json, &error)) << error;
+  const auto res = trace::validate_perfetto_json(json);
+  EXPECT_TRUE(res.ok) << res.error;
+
+  // Each job is one complete ("X") slice named "job <id>".
+  std::map<std::string, int> slices;  // job id -> slices
+  const std::string key = "\"ph\":\"X\",\"name\":\"job ";
+  for (auto at = json.find(key); at != std::string::npos; at = json.find(key, at + 1)) {
+    const auto id = at + key.size();
+    ++slices[json.substr(id, json.find('"', id) - id)];
+  }
+  EXPECT_EQ(slices.size(), 6u);
+  for (const auto& [id, count] : slices) EXPECT_EQ(count, 1) << "job " << id;
 }
 
 // -- golden cells ------------------------------------------------------------

@@ -6,10 +6,6 @@
 //   pdctrace --tool pvm --platform fddi --app fft --procs 4 --report
 //   pdctrace --trace-cell p4:ethernet:sendrecv:1:2 --json trace.json
 //   pdctrace --validate trace.json
-//
-// Built in every configuration. With PDC_TRACE=OFF the cell still runs and
-// the timing is printed, but the stream is empty (a warning says so) --
-// exported files are valid but contain no events.
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -172,12 +168,6 @@ int main(int argc, char** argv) {
                                        pdc::sim::microseconds(500), o.seed);
     tpl.faults = plan;
     app.faults = plan;
-  }
-
-  if (!pdc::eval::trace_compiled_in()) {
-    std::fprintf(stderr,
-                 "pdctrace: warning: built with PDC_TRACE=OFF -- the cell runs "
-                 "but the trace will be empty (rebuild with -DPDC_TRACE=ON)\n");
   }
 
   // Invalid cell shapes (too many procs for the platform, bad sizes) come
