@@ -58,7 +58,7 @@ void parallel_for_index(std::size_t n, unsigned threads,
 /// sweeps from different threads (the evaluation daemon serving several
 /// clients) each read exactly their own numbers -- the accessors below all
 /// share this per-request scoping. Hit rate here is the fleet-wide payload
-/// recycling rate the benches report.
+/// recycling rate perfbench reports (`mp.pool_hit_rate`).
 using SweepPoolStats = mp::BufferPool::Stats;
 [[nodiscard]] SweepPoolStats last_sweep_pool_stats();
 

@@ -27,7 +27,7 @@ enum class Isa { Scalar, Avx2 };
 /// toolchain supports it); independent of the runtime cpuid check.
 [[nodiscard]] bool simd_compiled() noexcept;
 
-/// Test/bench hook: pin dispatch to the scalar baseline (process-wide).
+/// Test hook: pin dispatch to the scalar baseline (process-wide).
 /// Also settable from the environment: PDC_FORCE_SCALAR=1.
 void force_scalar(bool on) noexcept;
 

@@ -5,7 +5,8 @@
 // update sweep) charges its wall time to a thread-local accumulator via
 // ScopedHostWork. eval::sweep snapshots the accumulator around each cell,
 // which yields the per-cell split "app compute vs sim/kernel overhead" that
-// bench-json reports fleet-wide (eval::last_sweep_host_stats). Timing is at
+// a sweep reports fleet-wide (eval::last_sweep_host_stats; perfbench's
+// `kernels.share`). Timing is at
 // batch granularity -- one steady_clock pair per strip/call, never per
 // element -- so the probe itself stays well under 1% of kernel time.
 #pragma once

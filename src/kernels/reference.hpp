@@ -4,8 +4,8 @@
 // These are the exact pre-kernel-layer app loops (cos in the innermost DCT
 // loop, per-stage incremental twiddles, straight triple-loop matmul, one
 // divide per MC sample). Tests assert the fast kernels reproduce them
-// bit-for-bit; bench_kernels measures the speedup against them. They are
-// deliberately NOT optimised -- do not "fix" them, they are the contract.
+// bit-for-bit. They are deliberately NOT optimised -- do not "fix" them,
+// they are the contract.
 #pragma once
 
 #include <complex>

@@ -17,7 +17,7 @@ Bytes BufferPool::acquire(std::size_t n) {
     return Bytes{};
   }
   const std::size_t ci = class_ceil(n);
-  if (enabled_ && ci < kClasses && !free_[ci].empty()) {
+  if (ci < kClasses && !free_[ci].empty()) {
     Bytes b = std::move(free_[ci].back());
     free_[ci].pop_back();
     ++stats_.hits;
@@ -29,13 +29,13 @@ Bytes BufferPool::acquire(std::size_t n) {
   Bytes b;
   // Round fresh capacity up to the class size so this buffer slots into a
   // free list when it comes back.
-  if (enabled_ && ci < kClasses) b.reserve(class_size(ci));
+  if (ci < kClasses) b.reserve(class_size(ci));
   b.resize(n);
   return b;
 }
 
 void BufferPool::release(Bytes&& b) noexcept {
-  if (!enabled_ || b.capacity() < class_size(0)) {
+  if (b.capacity() < class_size(0)) {
     ++stats_.discards;
     return;
   }
@@ -57,7 +57,7 @@ void BufferPool::release(Bytes&& b) noexcept {
 
 void* BufferPool::allocate_node(std::size_t bytes) {
   if (node_size_ == 0) node_size_ = bytes;
-  if (enabled_ && bytes == node_size_ && !nodes_.empty()) {
+  if (bytes == node_size_ && !nodes_.empty()) {
     void* p = nodes_.back();
     nodes_.pop_back();
     return p;
@@ -66,7 +66,7 @@ void* BufferPool::allocate_node(std::size_t bytes) {
 }
 
 void BufferPool::deallocate_node(void* p, std::size_t bytes) noexcept {
-  if (enabled_ && bytes == node_size_ && nodes_.size() < kMaxNodes) {
+  if (bytes == node_size_ && nodes_.size() < kMaxNodes) {
     try {
       nodes_.push_back(p);
       return;

@@ -35,7 +35,7 @@ class BufferPool {
     std::uint64_t hits{0};            ///< acquires served from a free list
     std::uint64_t misses{0};          ///< acquires that had to allocate
     std::uint64_t releases{0};        ///< buffers returned to a free list
-    std::uint64_t discards{0};        ///< returned buffers dropped (full/tiny/disabled)
+    std::uint64_t discards{0};        ///< returned buffers dropped (full/tiny)
     std::uint64_t bytes_recycled{0};  ///< total capacity served from free lists
 
     [[nodiscard]] double hit_rate() const noexcept {
@@ -57,8 +57,8 @@ class BufferPool {
   [[nodiscard]] Bytes acquire(std::size_t n);
 
   /// Return a buffer's storage to the free list of its capacity class.
-  /// Buffers below the smallest class, beyond the per-class cap, or
-  /// received while the pool is disabled are simply freed.
+  /// Buffers below the smallest class or beyond the per-class cap are
+  /// simply freed.
   void release(Bytes&& b) noexcept;
 
   /// Fixed-size node recycling for `make_payload`'s allocate_shared control
@@ -71,11 +71,6 @@ class BufferPool {
 
   /// Drop every cached buffer and node (memory hygiene between sweeps).
   void trim() noexcept;
-
-  /// Disabled: acquire always allocates, release/deallocate always free.
-  /// The benches use this for before/after allocation ablations.
-  void set_enabled(bool on) noexcept { enabled_ = on; }
-  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
 
   /// Buffers currently cached across all classes (tests/telemetry).
   [[nodiscard]] std::size_t cached_buffers() const noexcept;
@@ -105,7 +100,6 @@ class BufferPool {
   std::vector<void*> nodes_;    ///< recycled allocate_shared nodes
   std::size_t node_size_{0};    ///< the (single) node size seen so far
   Stats stats_;
-  bool enabled_{true};
 };
 
 }  // namespace pdc::mp

@@ -64,7 +64,7 @@ sim::Task<void> Communicator::send(int dst, int tag, Payload payload) {
   std::uint64_t trace_id = 0;
   std::int64_t send_begin_ns = 0;
   if (trace::active()) {
-    trace_id = rt_.next_trace_msg_id();
+    trace_id = trace::current()->next_msg_id();
     send_begin_ns = sim().now().ns;
     trace::emit({.t_ns = send_begin_ns,
                  .bytes = n,

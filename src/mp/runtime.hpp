@@ -171,10 +171,6 @@ class Runtime {
                                  std::optional<net::ChunkProtocol> chunked = std::nullopt,
                                  std::uint64_t trace_id = 0);
 
-  /// Next message correlation id for trace records. Only called while a
-  /// capture is active, so untraced runs never touch the counter.
-  [[nodiscard]] std::uint64_t next_trace_msg_id() noexcept { return ++trace_msg_seq_; }
-
   /// Hand a message to rank `dst`'s mailbox at time `at`.
   void deliver_at(sim::TimePoint at, int dst, Message msg);
 
@@ -248,7 +244,6 @@ class Runtime {
   std::vector<TransportStats> transport_;  // per rank
   std::uint64_t messages_sent_{0};
   std::uint64_t payload_bytes_{0};
-  std::uint64_t trace_msg_seq_{0};  // only bumped while a capture is active
 
   friend class Communicator;
 };

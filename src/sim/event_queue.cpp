@@ -6,65 +6,8 @@
 namespace pdc::sim {
 
 void EventQueue::push_out_of_order(TimePoint at, Event ev) {
-  ++stats_.heap_pushes;
   heap_.push_back(Entry{at, next_seq_++, std::move(ev)});
   sift_up(heap_.size() - 1);
-}
-
-TimePoint EventQueue::next_time() const noexcept {
-  // Start from whichever O(1) lane has something, then let the others beat it.
-  TimePoint best{};
-  std::uint64_t best_seq = 0;
-  bool any = false;
-  if (!lane_empty()) {
-    best = lane_time_;
-    best_seq = lane_[lane_head_].seq;
-    any = true;
-  }
-  if (!run_empty()) {
-    const Entry& r = run_[run_head_];
-    if (!any || before(r.at, r.seq, best, best_seq)) {
-      best = r.at;
-      best_seq = r.seq;
-      any = true;
-    }
-  }
-  if (!heap_.empty()) {
-    const Entry& h = heap_.front();
-    if (!any || before(h.at, h.seq, best, best_seq)) best = h.at;
-  }
-  return best;
-}
-
-Event EventQueue::pop() {
-  // Identify the (time, seq)-minimal front among the three lanes.
-  int src = -1;  // 0 = lane, 1 = run, 2 = heap
-  TimePoint best{};
-  std::uint64_t best_seq = 0;
-  if (!lane_empty()) {
-    src = 0;
-    best = lane_time_;
-    best_seq = lane_[lane_head_].seq;
-  }
-  if (!run_empty()) {
-    const Entry& r = run_[run_head_];
-    if (src < 0 || before(r.at, r.seq, best, best_seq)) {
-      src = 1;
-      best = r.at;
-      best_seq = r.seq;
-    }
-  }
-  if (!heap_.empty()) {
-    const Entry& h = heap_.front();
-    if (src < 0 || before(h.at, h.seq, best, best_seq)) src = 2;
-  }
-  if (src == 0) {
-    Event ev = std::move(lane_[lane_head_++].ev);
-    if (lane_head_ >= kCompactMin && lane_head_ * 2 >= lane_.size()) compact_lane();
-    return ev;
-  }
-  if (src == 1) return pop_run_front();
-  return pop_heap_top();
 }
 
 void EventQueue::compact_lane() {
@@ -75,12 +18,6 @@ void EventQueue::compact_lane() {
 void EventQueue::compact_run() {
   run_.erase(run_.begin(), run_.begin() + static_cast<std::ptrdiff_t>(run_head_));
   run_head_ = 0;
-}
-
-Event EventQueue::pop_run_front() {
-  Event ev = std::move(run_[run_head_++].ev);
-  if (run_head_ >= kCompactMin && run_head_ * 2 >= run_.size()) compact_run();
-  return ev;
 }
 
 Event EventQueue::pop_heap_top() {
@@ -132,7 +69,6 @@ void EventQueue::clear() {
   run_head_ = 0;
   lane_head_ = 0;
   next_seq_ = 0;
-  stats_ = {};
 }
 
 }  // namespace pdc::sim

@@ -23,8 +23,6 @@ namespace pdc::sim {
 
 class EventQueue {
  public:
-  using Action = Event;  // historical alias; Event accepts any callable
-
   /// Enqueue `ev` to fire at absolute time `at`.
   void push(TimePoint at, Event ev) {
     if (run_empty() || at >= run_.back().at) {
@@ -34,7 +32,6 @@ class EventQueue {
         run_.clear();
         run_head_ = 0;
       }
-      ++stats_.run_pushes;
       run_.push_back(Entry{at, next_seq_++, std::move(ev)});
       return;
     }
@@ -54,7 +51,6 @@ class EventQueue {
       push(at, std::move(ev));
       return;
     }
-    ++stats_.lane_pushes;
     lane_.push_back(LaneEntry{next_seq_++, std::move(ev)});
   }
 
@@ -65,18 +61,11 @@ class EventQueue {
     return heap_.size() + (lane_.size() - lane_head_) + (run_.size() - run_head_);
   }
 
-  /// Time of the earliest pending event. Precondition: !empty().
-  [[nodiscard]] TimePoint next_time() const noexcept;
-
-  /// Remove and return the earliest pending event (FIFO among equal times).
-  /// Precondition: !empty().
-  [[nodiscard]] Event pop();
-
-  /// Fused empty/next_time/pop for the scheduler's hot loop: if the minimal
-  /// pending event fires at or before `until`, move it into `out`, set `at`
-  /// and return true; otherwise leave the queue untouched and return false.
+  /// Remove the earliest pending event (FIFO among equal times) if it
+  /// fires at or before `until`: move it into `out`, set `at` and return
+  /// true. Otherwise leave the queue untouched and return false.
   [[nodiscard]] bool pop_next(TimePoint until, TimePoint& at, Event& out) {
-    // 0 = lane, 1 = run, 2 = heap (same selection as pop(), one scan).
+    // 0 = lane, 1 = run, 2 = heap: the (time, seq)-minimal front, one scan.
     int src = -1;
     TimePoint best{};
     std::uint64_t best_seq = 0;
@@ -118,13 +107,6 @@ class EventQueue {
   /// queue reproduces the same (time, seq) ordering as a fresh one.
   void clear();
 
-  struct Stats {
-    std::uint64_t lane_pushes{0};  ///< O(1) same-time fast-lane pushes
-    std::uint64_t run_pushes{0};   ///< O(1) sorted-run appends
-    std::uint64_t heap_pushes{0};  ///< pushes that paid a heap sift
-  };
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-
  private:
   static constexpr std::size_t kArity = 4;
   // Drained-prefix compaction threshold for the lane/run vectors.
@@ -151,7 +133,6 @@ class EventQueue {
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
   [[nodiscard]] Event pop_heap_top();
-  [[nodiscard]] Event pop_run_front();
   void compact_lane();
   void compact_run();
 
@@ -162,7 +143,6 @@ class EventQueue {
   std::size_t lane_head_{0};
   TimePoint lane_time_{};
   std::uint64_t next_seq_{0};
-  Stats stats_{};
 };
 
 }  // namespace pdc::sim

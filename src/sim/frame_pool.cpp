@@ -23,14 +23,12 @@ void* FramePool::allocate(std::size_t n) {
     ++stats_.misses;
     return ::operator new(n);
   }
-  if (enabled_) {
-    if (FreeNode* node = free_[ci]; node != nullptr) {
-      free_[ci] = node->next;
-      --count_[ci];
-      ++stats_.hits;
-      stats_.bytes_recycled += class_size(ci);
-      return node;
-    }
+  if (FreeNode* node = free_[ci]; node != nullptr) {
+    free_[ci] = node->next;
+    --count_[ci];
+    ++stats_.hits;
+    stats_.bytes_recycled += class_size(ci);
+    return node;
   }
   ++stats_.misses;
   return ::operator new(class_size(ci));
@@ -39,7 +37,7 @@ void* FramePool::allocate(std::size_t n) {
 void FramePool::deallocate(void* p, std::size_t n) noexcept {
   if (p == nullptr) return;
   const std::size_t ci = class_index(n);
-  if (!enabled_ || ci >= kNumClasses || count_[ci] >= kMaxPerClass) {
+  if (ci >= kNumClasses || count_[ci] >= kMaxPerClass) {
     ++stats_.discards;
     ::operator delete(p);
     return;

@@ -48,15 +48,6 @@ class FramePool {
   void trim() noexcept;
   [[nodiscard]] std::size_t cached_blocks() const noexcept;
 
-  /// Ablation switch (benches): disabled, every allocation goes straight to
-  /// the heap. Blocks stay class-sized either way, so blocks allocated in
-  /// one state may safely be freed in the other.
-  void set_enabled(bool on) noexcept {
-    enabled_ = on;
-    if (!on) trim();
-  }
-  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
-
   FramePool(const FramePool&) = delete;
   FramePool& operator=(const FramePool&) = delete;
 
@@ -83,7 +74,6 @@ class FramePool {
   FreeNode* free_[kNumClasses]{};
   std::size_t count_[kNumClasses]{};
   Stats stats_{};
-  bool enabled_{true};
 };
 
 }  // namespace pdc::sim

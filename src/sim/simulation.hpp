@@ -98,9 +98,6 @@ class Simulation {
   /// Maximum number of events run() may process before aborting.
   void set_event_budget(std::uint64_t budget) noexcept { event_budget_ = budget; }
 
-  /// Event-queue instrumentation (fast-lane vs heap push mix).
-  [[nodiscard]] const EventQueue::Stats& queue_stats() const noexcept { return queue_.stats(); }
-
  private:
   struct RootProcess {
     Task<> task;

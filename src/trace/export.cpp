@@ -516,6 +516,10 @@ ValidationResult validate_perfetto_json(const std::string& json) {
         res.error = at + " has negative dur";
         return res;
       }
+      const JValue* name = e.find("name");
+      if (name != nullptr && name->t == JValue::T::Str && name->str.starts_with("job ")) {
+        ++res.jobs;
+      }
     } else if (ph->str == "s" || ph->str == "f") {
       if (!need_num("ts") || !need_num("id")) return res;
       (ph->str == "s" ? flow_starts : flow_ends).insert(e.find("id")->num);

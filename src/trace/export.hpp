@@ -32,6 +32,7 @@ struct ValidationResult {
   bool ok{false};
   std::size_t events{0};   ///< entries in traceEvents
   std::size_t flows{0};    ///< of which flow ("s"/"f") events
+  std::size_t jobs{0};     ///< of which scheduler job slices ("X", "job <id>")
   std::string error;       ///< first problem found, empty when ok
 };
 

@@ -69,6 +69,11 @@ class Sink {
   [[nodiscard]] std::uint32_t mask() const noexcept { return mask_; }
   [[nodiscard]] const SinkStats& stats() const noexcept { return stats_; }
 
+  /// Next message correlation id (1, 2, ...). Ids count per capture, not
+  /// per `mp::Runtime`, so they stay distinct when one capture spans many
+  /// runtimes (a scheduler cell runs one per job).
+  [[nodiscard]] std::uint64_t next_msg_id() noexcept { return ++msg_seq_; }
+
   /// Surviving records in emit order (oldest first).
   [[nodiscard]] std::vector<Record> snapshot() const {
     std::vector<Record> out;
@@ -85,6 +90,7 @@ class Sink {
     head_ = 0;
     size_ = 0;
     stats_ = {};
+    msg_seq_ = 0;
   }
 
  private:
@@ -93,6 +99,7 @@ class Sink {
   std::size_t size_{0};      // live records
   std::uint32_t mask_;
   SinkStats stats_{};
+  std::uint64_t msg_seq_{0};  // last message id handed out
 };
 
 namespace detail {

@@ -395,19 +395,6 @@ TEST(BufferPool, RecyclesAcrossAcquireReleaseCycles) {
   EXPECT_EQ(pool.cached_buffers(), 0u);
 }
 
-TEST(BufferPool, DisabledPoolBypassesFreeLists) {
-  auto& pool = BufferPool::local();
-  pool.trim();
-  pool.reset_stats();
-  pool.set_enabled(false);
-  Bytes b = pool.acquire(512);
-  pool.release(std::move(b));
-  EXPECT_EQ(pool.cached_buffers(), 0u);
-  EXPECT_EQ(pool.stats().hits, 0u);
-  EXPECT_EQ(pool.stats().discards, 1u);
-  pool.set_enabled(true);
-}
-
 TEST(BufferPool, DroppedPayloadsReturnTheirBuffers) {
   auto& pool = BufferPool::local();
   pool.trim();

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -37,6 +38,14 @@ TEST(Time, ArithmeticAndComparison) {
   EXPECT_EQ(milliseconds(7) / 2, microseconds(3500));
 }
 
+// Fire every pending event through the queue's one pop, in (time, seq)
+// order.
+void drain(EventQueue& q) {
+  TimePoint at{};
+  Event ev;
+  while (q.pop_next(TimePoint{std::numeric_limits<std::int64_t>::max()}, at, ev)) ev();
+}
+
 TEST(EventQueue, OrdersByTimeThenFifo) {
   EventQueue q;
   std::vector<int> order;
@@ -44,7 +53,7 @@ TEST(EventQueue, OrdersByTimeThenFifo) {
   q.push(TimePoint{5}, [&] { order.push_back(2); });
   q.push(TimePoint{10}, [&] { order.push_back(3); });
   q.push(TimePoint{5}, [&] { order.push_back(4); });
-  while (!q.empty()) q.pop()();
+  drain(q);
   EXPECT_EQ(order, (std::vector<int>{2, 4, 1, 3}));
 }
 
@@ -56,7 +65,7 @@ TEST(EventQueue, ReversedPushOrderStillSortsByTime) {
   for (int i = 100; i > 0; --i) {
     q.push(TimePoint{i}, [&order, i] { order.push_back(i); });
   }
-  while (!q.empty()) q.pop()();
+  drain(q);
   ASSERT_EQ(order.size(), 100u);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i + 1);
 }
@@ -93,7 +102,7 @@ TEST(EventQueue, InterleavedPushPopKeepsFifoAmongEqualTimes) {
       ev();
     }
   }
-  while (!q.empty()) q.pop()();
+  drain(q);
   // Reference order: stable sort by time preserves push order among ties.
   std::stable_sort(model.begin(), model.end(),
                    [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -111,7 +120,7 @@ TEST(EventQueue, ClearResetsSequenceCounter) {
     q.push_now(TimePoint{3}, [&] { order.push_back(1); });
     q.push(TimePoint{3}, [&] { order.push_back(2); });
     q.push(TimePoint{1}, [&] { order.push_back(3); });
-    while (!q.empty()) q.pop()();
+    drain(q);
     return order;
   };
   EventQueue fresh;
@@ -123,27 +132,6 @@ TEST(EventQueue, ClearResetsSequenceCounter) {
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.size(), 0u);
   EXPECT_EQ(fill_and_drain(q), expected);
-}
-
-TEST(EventQueue, StatsCountLaneHits) {
-  EventQueue q;
-  q.push_now(TimePoint{0}, [] {});  // fast lane
-  q.push_now(TimePoint{0}, [] {});  // fast lane
-  q.push(TimePoint{5}, [] {});      // sorted run
-  q.push(TimePoint{6}, [] {});      // sorted run
-  q.push(TimePoint{2}, [] {});      // out of order -> heap
-  EXPECT_EQ(q.stats().lane_pushes, 2u);
-  EXPECT_EQ(q.stats().run_pushes, 2u);
-  EXPECT_EQ(q.stats().heap_pushes, 1u);
-  std::vector<TimePoint> times;
-  while (!q.empty()) {
-    times.push_back(q.next_time());
-    q.pop()();
-  }
-  EXPECT_EQ(times, (std::vector<TimePoint>{TimePoint{0}, TimePoint{0}, TimePoint{2},
-                                           TimePoint{5}, TimePoint{6}}));
-  q.clear();
-  EXPECT_EQ(q.stats().lane_pushes, 0u);
 }
 
 TEST(Event, InlineAndHeapCallablesBothRunAfterMove) {

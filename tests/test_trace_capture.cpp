@@ -7,6 +7,7 @@
 // placement or the analyses shows up as an exact-integer diff here.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -112,6 +113,22 @@ TEST(TraceCapture, SchedCellExportsOneJobSlicePerJob) {
   }
   EXPECT_EQ(slices.size(), 6u);
   for (const auto& [id, count] : slices) EXPECT_EQ(count, 1) << "job " << id;
+}
+
+TEST(TraceCapture, SchedCellMessageIdsAreDistinctAcrossJobs) {
+  // Every job of a scheduler cell runs its own mp::Runtime inside the one
+  // capture; message ids must still name one message each, or the flow
+  // arrows and the id-keyed analyses join messages of different jobs.
+  eval::SchedCell cell;
+  cell.njobs = 6;
+  const auto traced = eval::run_cell_traced(eval::CellSpec::of(cell));
+  ASSERT_EQ(traced.result.status, eval::CellStatus::Ok) << traced.result.error;
+  std::map<std::uint64_t, int> sends;  // id -> SendBegin records
+  for (const auto& r : traced.records) {
+    if (r.kind == trace::Kind::SendBegin) ++sends[r.id];
+  }
+  EXPECT_FALSE(sends.empty());
+  for (const auto& [id, count] : sends) EXPECT_EQ(count, 1) << "message id " << id;
 }
 
 // -- golden cells ------------------------------------------------------------

@@ -2,9 +2,9 @@
 //
 // pdctrace, pdcsched and pdceval all turn the same flag vocabulary
 // (tool / platform / primitive / app names, compact T:P:W:B:N cell
-// specs) into cell structs; this header is the one copy of that
-// mapping. Platform names cover both the paper's six hosts and the
-// three synthetic cluster fabrics -- tools that only accept a subset
+// specs, scheduling-cell flags) into cell structs; this header is the one
+// copy of that mapping. Platform names cover both the paper's six hosts
+// and the three synthetic cluster fabrics -- tools that only accept a subset
 // (pdcsched wants a cluster) check with is_cluster_platform() after
 // parsing rather than keeping a private name table.
 #pragma once
@@ -168,6 +168,32 @@ inline constexpr std::size_t kMaxRangeValues = 1 << 16;
     }
   }
   out = std::move(vals);
+  return true;
+}
+
+/// The scheduling-cell flags of pdcsched, pdceval --sched and pdctrace
+/// --sched: --nodes --jobs --rate --users --policy --aging. Returns false
+/// when `arg` is none of them. Otherwise parses the flag's value, taken
+/// from `value()`, into `cell` and returns true, with `ok` false on a bad
+/// value.
+template <class Value>
+[[nodiscard]] bool parse_sched_flag(const std::string& arg, Value&& value, eval::SchedCell& cell,
+                                    bool& ok) {
+  if (arg == "--nodes") ok = parse_count(value(), cell.nodes);
+  else if (arg == "--jobs") ok = parse_count(value(), cell.njobs);
+  else if (arg == "--rate") {
+    ok = parse_double(value(), cell.arrival_rate_hz) && cell.arrival_rate_hz > 0.0;
+  }
+  else if (arg == "--users") ok = parse_count(value(), cell.users);
+  else if (arg == "--policy") {
+    const std::string p = value();
+    ok = p == "backfill" || p == "fifo";
+    if (ok) cell.policy.backfill = p == "backfill";
+  } else if (arg == "--aging") {
+    ok = parse_number(value(), cell.policy.aging_per_sec) && cell.policy.aging_per_sec >= 0;
+  } else {
+    return false;
+  }
   return true;
 }
 

@@ -269,22 +269,7 @@ int main(int argc, char** argv) {
       have_cell = true;
     }
     else if (arg == "--sched") { is_sched = true; have_cell = true; }
-    else if (arg == "--nodes") ok = pdc::tools::parse_count(value(), sched.nodes);
-    else if (arg == "--jobs") ok = pdc::tools::parse_count(value(), sched.njobs);
-    else if (arg == "--rate") {
-      ok = pdc::tools::parse_double(value(), sched.arrival_rate_hz) && sched.arrival_rate_hz > 0.0;
-    }
-    else if (arg == "--users") ok = pdc::tools::parse_count(value(), sched.users);
-    else if (arg == "--policy") {
-      const std::string p = value();
-      if (p == "backfill") sched.policy.backfill = true;
-      else if (p == "fifo") sched.policy.backfill = false;
-      else ok = false;
-    }
-    else if (arg == "--aging") {
-      ok = pdc::tools::parse_number(value(), sched.policy.aging_per_sec) &&
-           sched.policy.aging_per_sec >= 0;
-    }
+    else if (pdc::tools::parse_sched_flag(arg, value, sched, ok)) {}
     else if (arg == "--warm") warm_sweep = value();
     else if (arg == "--json") json = true;
     else if (arg == "--stats") do_stats = true;

@@ -38,7 +38,6 @@ int main(int argc, char** argv) {
   pdc::eval::SchedCell cell;
   bool per_job = false;
 
-  using pdc::tools::parse_count;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&]() -> std::string {
@@ -52,21 +51,9 @@ int main(int argc, char** argv) {
       // only makes sense on a cluster fabric.
       ok = pdc::tools::parse_platform(value(), cell.platform) &&
            pdc::tools::is_cluster_platform(cell.platform);
-    } else if (arg == "--nodes") ok = parse_count(value(), cell.nodes);
-    else if (arg == "--jobs") ok = parse_count(value(), cell.njobs);
-    else if (arg == "--rate") {
-      ok = pdc::tools::parse_double(value(), cell.arrival_rate_hz) && cell.arrival_rate_hz > 0.0;
-    } else if (arg == "--users") ok = parse_count(value(), cell.users);
-    else if (arg == "--seed") ok = pdc::tools::parse_seed(value(), cell.seed);
-    else if (arg == "--policy") {
-      const std::string p = value();
-      if (p == "backfill") cell.policy.backfill = true;
-      else if (p == "fifo") cell.policy.backfill = false;
-      else ok = false;
-    } else if (arg == "--aging") {
-      ok = pdc::tools::parse_number(value(), cell.policy.aging_per_sec) &&
-           cell.policy.aging_per_sec >= 0;
-    } else if (arg == "--drop") {
+    } else if (pdc::tools::parse_sched_flag(arg, value, cell, ok)) {
+    } else if (arg == "--seed") ok = pdc::tools::parse_seed(value(), cell.seed);
+    else if (arg == "--drop") {
       double drop = 0.0;
       ok = pdc::tools::parse_fault_rate(value(), drop);
       cell.faults = pdc::fault::FaultPlan::uniform(drop);

@@ -5,6 +5,7 @@
 //            --bytes 1 --procs 2 --json trace.json
 //   pdctrace --tool pvm --platform fddi --app fft --procs 4 --report
 //   pdctrace --trace-cell p4:ethernet:sendrecv:1:2 --json trace.json
+//   pdctrace --sched --platform flat --nodes 16 --jobs 4 --json trace.json
 //   pdctrace --validate trace.json
 #include <cstdio>
 #include <cstdlib>
@@ -42,6 +43,7 @@ struct Options {
   double corrupt{0.0};
   double duplicate{0.0};
   std::uint64_t seed{0xFA17};
+  bool have_seed{false};
 };
 
 [[noreturn]] void usage(int code) {
@@ -51,10 +53,13 @@ struct Options {
                "  --platform %s\n"
                "  --primitive sendrecv|broadcast|ring|globalsum   (TPL cell)\n"
                "  --app jpeg|fft|mc|psrs                          (APL cell)\n"
+               "  --sched                       scheduling cell, with pdcsched flags\n"
+               "    --nodes N --jobs N --rate R --users N --policy backfill|fifo --aging P\n"
                "  --bytes N --procs N --ints N  cell size parameters (procs > 0)\n"
-               "  --drop R --corrupt R --dup R --seed S   fault plan (rates in [0, 1))\n"
+               "  --drop R --corrupt R --dup R --seed S   fault plan (rates in [0, 1));\n"
+               "                                --seed also seeds a --sched workload\n"
                "  --buffer N                    trace ring capacity (records, > 0)\n"
-               "  --categories LIST             default|all|mp,net,transport,sim,host\n"
+               "  --categories LIST             default|all|mp,net,transport,sim,host,sched\n"
                "  --json FILE --csv FILE        exporters\n"
                "  --report / --no-report        text analysis (default on)\n"
                "  --trace-cell T:P:W:B:N        compact cell spec (tool:platform:\n"
@@ -76,6 +81,7 @@ struct Options {
     else if (part == "transport") mask |= pdc::trace::kCatTransport;
     else if (part == "sim") mask |= pdc::trace::kCatSim;
     else if (part == "host") mask |= pdc::trace::kCatHost;
+    else if (part == "sched") mask |= pdc::trace::kCatSched;
     else return false;
   }
   return mask != 0;
@@ -101,8 +107,10 @@ int run_validate(const std::string& path) {
     std::fprintf(stderr, "pdctrace: %s: INVALID: %s\n", path.c_str(), res.error.c_str());
     return 1;
   }
-  std::printf("pdctrace: %s: ok (%zu events, %zu flow events)\n", path.c_str(), res.events,
+  std::printf("pdctrace: %s: ok (%zu events, %zu flow events", path.c_str(), res.events,
               res.flows);
+  if (res.jobs > 0) std::printf(", %zu job slices", res.jobs);
+  std::printf(")\n");
   return 0;
 }
 
@@ -112,6 +120,7 @@ int main(int argc, char** argv) {
   Options o;
   pdc::eval::TplCell& tpl = o.cell.tpl;
   pdc::eval::AppCell& app = o.cell.app;
+  pdc::eval::SchedCell& sched = o.cell.sched;
   tpl.bytes = 1;
   tpl.procs = 2;
   app.procs = 2;
@@ -128,16 +137,22 @@ int main(int argc, char** argv) {
     bool ok = true;
     if (arg == "--help" || arg == "-h") usage(0);
     else if (arg == "--tool") { const auto v = next(); ok = parse_tool(v, tpl.tool); app.tool = tpl.tool; }
-    else if (arg == "--platform") { const auto v = next(); ok = parse_platform(v, tpl.platform); app.platform = tpl.platform; }
+    else if (arg == "--platform") {
+      ok = parse_platform(next(), tpl.platform);
+      app.platform = tpl.platform;
+      sched.platform = tpl.platform;
+    }
     else if (arg == "--primitive") { ok = parse_primitive(next(), tpl.primitive); o.cell.type = CellType::Tpl; }
     else if (arg == "--app") { ok = parse_app(next(), app.app); o.cell.type = CellType::App; }
+    else if (arg == "--sched") o.cell.type = CellType::Sched;
+    else if (pdc::tools::parse_sched_flag(arg, next, sched, ok)) {}
     else if (arg == "--bytes") ok = parse_number(next(), tpl.bytes) && tpl.bytes >= 0;
     else if (arg == "--procs") { ok = parse_count(next(), tpl.procs); app.procs = tpl.procs; }
     else if (arg == "--ints") ok = parse_number(next(), tpl.global_sum_ints) && tpl.global_sum_ints >= 0;
     else if (arg == "--drop") ok = parse_fault_rate(next(), o.drop);
     else if (arg == "--corrupt") ok = parse_fault_rate(next(), o.corrupt);
     else if (arg == "--dup") ok = parse_fault_rate(next(), o.duplicate);
-    else if (arg == "--seed") ok = pdc::tools::parse_seed(next(), o.seed);
+    else if (arg == "--seed") { ok = pdc::tools::parse_seed(next(), o.seed); o.have_seed = true; }
     else if (arg == "--buffer") {
       std::int64_t capacity = 0;
       ok = parse_number(next(), capacity) && capacity > 0;
@@ -168,6 +183,15 @@ int main(int argc, char** argv) {
                                        pdc::sim::microseconds(500), o.seed);
     tpl.faults = plan;
     app.faults = plan;
+    sched.faults = plan;
+  }
+  if (o.cell.type == CellType::Sched) {
+    if (!pdc::tools::is_cluster_platform(sched.platform)) {
+      std::fprintf(stderr,
+                   "pdctrace: --sched needs a cluster platform (flat|fattree|dragonfly)\n");
+      usage(2);
+    }
+    if (o.have_seed) sched.seed = o.seed;
   }
 
   // Invalid cell shapes (too many procs for the platform, bad sizes) come
@@ -185,7 +209,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "pdctrace: cannot run cell: %s\n", res.error.c_str());
     return 2;
   }
-  if (o.cell.type == CellType::App) {
+  if (o.cell.type == CellType::Sched) {
+    const pdc::sched::ScheduleOutcome& s = res.sched.schedule;
+    std::printf("cell: %s, %d nodes, %d jobs -> completed %d rejected %d makespan %.3f ms\n",
+                pdc::host::to_string(sched.platform), sched.nodes, sched.njobs, s.completed,
+                s.rejected, s.makespan.millis());
+  } else if (o.cell.type == CellType::App) {
     std::printf("cell: %s on %s, app %s, procs %d -> %.6f simulated s\n",
                 pdc::mp::to_string(app.tool), pdc::host::to_string(app.platform),
                 pdc::eval::to_string(app.app), app.procs, res.app_s);
