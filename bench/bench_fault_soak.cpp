@@ -55,8 +55,8 @@ int main() {
         plan = fault::FaultPlan::uniform(drop, 0.01, 0.05, 0.10, sim::milliseconds(1),
                                          0xB0A7 + static_cast<std::uint64_t>(drop * 100));
       }
-      const mp::RunOutcome out = mp::run_spmd_faulty(PlatformId::SunEthernet, 2, tool, plan,
-                                                     stream_program);
+      const mp::RunOutcome out =
+          mp::run_spmd(PlatformId::SunEthernet, 2, tool, stream_program, plan);
       const double ms = out.elapsed.millis();
       const double goodput = ms > 0.0 ? payload_mb / (ms / 1000.0) : 0.0;
       std::printf("%-8s %5.0f%% | %10.2f %12.3f | %7lld %7lld %7lld %7lld | %7lld\n",

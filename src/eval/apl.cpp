@@ -90,10 +90,7 @@ double app_time_s(host::PlatformId platform, mp::ToolKind tool, AppKind app, int
       };
       break;
   }
-  if (faults.enabled()) {
-    return mp::run_spmd_faulty(platform, procs, tool, faults, program).elapsed.seconds();
-  }
-  return mp::run_spmd(platform, procs, tool, program).elapsed.seconds();
+  return mp::run_spmd(platform, procs, tool, program, faults).elapsed.seconds();
 }
 
 }  // namespace pdc::eval

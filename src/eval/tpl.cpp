@@ -15,15 +15,6 @@ constexpr int kTag = 42;
   return mp::Bytes(static_cast<std::size_t>(bytes), std::byte{0x5A});
 }
 
-/// Dispatch on the fault plan: disabled plans take the plain path so their
-/// timings stay bit-identical to the pre-fault API.
-[[nodiscard]] mp::RunOutcome run(host::PlatformId platform, int procs, mp::ToolKind tool,
-                                 const fault::FaultPlan& faults,
-                                 const mp::RankProgram& program) {
-  if (faults.enabled()) return mp::run_spmd_faulty(platform, procs, tool, faults, program);
-  return mp::run_spmd(platform, procs, tool, program);
-}
-
 }  // namespace
 
 double sendrecv_ms(host::PlatformId platform, mp::ToolKind tool, std::int64_t bytes,
@@ -37,7 +28,7 @@ double sendrecv_ms(host::PlatformId platform, mp::ToolKind tool, std::int64_t by
       co_await c.send(0, kTag + 1, m.data);
     }
   };
-  return run(platform, 2, tool, faults, program).elapsed.millis();
+  return mp::run_spmd(platform, 2, tool, program, faults).elapsed.millis();
 }
 
 double broadcast_ms(host::PlatformId platform, mp::ToolKind tool, int procs,
@@ -47,7 +38,7 @@ double broadcast_ms(host::PlatformId platform, mp::ToolKind tool, int procs,
     if (c.rank() == 0) data = filled(bytes);
     co_await c.broadcast(0, data, kTag);
   };
-  return run(platform, procs, tool, faults, program).elapsed.millis();
+  return mp::run_spmd(platform, procs, tool, program, faults).elapsed.millis();
 }
 
 double ring_ms(host::PlatformId platform, mp::ToolKind tool, int procs, std::int64_t bytes,
@@ -60,7 +51,7 @@ double ring_ms(host::PlatformId platform, mp::ToolKind tool, int procs, std::int
       (void)co_await c.recv(prev, kTag + r);
     }
   };
-  return run(platform, procs, tool, faults, program).elapsed.millis();
+  return mp::run_spmd(platform, procs, tool, program, faults).elapsed.millis();
 }
 
 std::optional<double> global_sum_ms(host::PlatformId platform, mp::ToolKind tool, int procs,
@@ -73,7 +64,7 @@ std::optional<double> global_sum_ms(host::PlatformId platform, mp::ToolKind tool
     std::vector<std::int32_t> v(static_cast<std::size_t>(n_integers), c.rank() + 1);
     co_await c.global_sum(v);
   };
-  return run(platform, procs, tool, faults, program).elapsed.millis();
+  return mp::run_spmd(platform, procs, tool, program, faults).elapsed.millis();
 }
 
 double barrier_ms(host::PlatformId platform, mp::ToolKind tool, int procs, int reps,
@@ -81,7 +72,7 @@ double barrier_ms(host::PlatformId platform, mp::ToolKind tool, int procs, int r
   auto program = [reps](mp::Communicator& c) -> sim::Task<void> {
     for (int i = 0; i < reps; ++i) co_await c.barrier();
   };
-  return run(platform, procs, tool, faults, program).elapsed.millis() / reps;
+  return mp::run_spmd(platform, procs, tool, program, faults).elapsed.millis() / reps;
 }
 
 const std::vector<std::int64_t>& paper_message_sizes() {

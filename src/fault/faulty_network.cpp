@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "host/platform.hpp"
+
 namespace pdc::fault {
 
 namespace {
@@ -17,6 +19,16 @@ void validate_rates(const LinkFaults& f) {
   }
 }
 
+/// Throws std::invalid_argument on a rate outside [0, 1), a negative
+/// jitter or a flap window with end < start.
+void validate(const FaultPlan& plan) {
+  validate_rates(plan.link);
+  for (const auto& o : plan.overrides) validate_rates(o.faults);
+  for (const auto& w : plan.flaps) {
+    if (w.end < w.start) throw std::invalid_argument("flap window must have start <= end");
+  }
+}
+
 }  // namespace
 
 FaultyNetwork::FaultyNetwork(sim::Simulation& sim, std::unique_ptr<net::Network> inner,
@@ -26,11 +38,7 @@ FaultyNetwork::FaultyNetwork(sim::Simulation& sim, std::unique_ptr<net::Network>
       plan_(std::move(plan)),
       rng_(sim::named_stream(plan_.seed, "pdc.fault.network")),
       name_("faulty+" + inner_->name()) {
-  validate_rates(plan_.link);
-  for (const auto& o : plan_.overrides) validate_rates(o.faults);
-  for (const auto& w : plan_.flaps) {
-    if (w.end < w.start) throw std::invalid_argument("flap window must have start <= end");
-  }
+  validate(plan_);
 }
 
 sim::TimePoint FaultyNetwork::transfer(net::NodeId src, net::NodeId dst, std::int64_t bytes) {
@@ -101,6 +109,16 @@ net::Delivery FaultyNetwork::afflict(net::NodeId src, net::NodeId dst, sim::Time
     d.dup_arrival = d.arrival + lag;
   }
   return d;
+}
+
+FaultyNetwork* install_faults(host::Cluster& cluster, const FaultPlan& plan) {
+  validate(plan);  // a disabled plan is checked too, though it wires nothing
+  if (!plan.enabled()) return nullptr;
+  auto faulty =
+      std::make_unique<FaultyNetwork>(cluster.simulation(), cluster.take_network(), plan);
+  FaultyNetwork* wire = faulty.get();
+  cluster.install_network(std::move(faulty));
+  return wire;
 }
 
 }  // namespace pdc::fault

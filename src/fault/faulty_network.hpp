@@ -17,6 +17,10 @@
 #include "sim/rng.hpp"
 #include "sim/simulation.hpp"
 
+namespace pdc::host {
+class Cluster;
+}  // namespace pdc::host
+
 namespace pdc::fault {
 
 class FaultyNetwork final : public net::Network {
@@ -59,5 +63,11 @@ class FaultyNetwork final : public net::Network {
   InjectionStats stats_{};
   std::string name_;
 };
+
+/// Wrap `cluster`'s network in a FaultyNetwork driven by `plan` and return
+/// the decorator (for its injection counts); a disabled plan leaves the
+/// network bare and returns nullptr. Call before building any mp::Runtime on
+/// the cluster: runtimes cache the wire's reliability.
+FaultyNetwork* install_faults(host::Cluster& cluster, const FaultPlan& plan);
 
 }  // namespace pdc::fault

@@ -1,19 +1,22 @@
 #include "mp/api.hpp"
 
-#include <memory>
-#include <utility>
+#include <string>
 
 #include "fault/faulty_network.hpp"
 
 namespace pdc::mp {
 
-namespace {
-
-RunOutcome drive(sim::Simulation& simulation, Runtime& runtime, int nprocs, ToolKind tool,
-                 const RankProgram& program) {
+RunOutcome run_spmd_with_profile(host::PlatformId platform, int nprocs, ToolKind label,
+                                 const ToolProfile& profile, const RankProgram& program,
+                                 const fault::FaultPlan& faults) {
+  sim::Simulation simulation;
+  host::Cluster cluster(simulation, platform, nprocs);
+  const fault::FaultyNetwork* wire = fault::install_faults(cluster, faults);
+  // Built after the wiring: the Runtime caches the wire's reliability.
+  Runtime runtime(cluster, label, profile);
   for (int r = 0; r < nprocs; ++r) {
     simulation.spawn(program(runtime.comm(r)),
-                     std::string(to_string(tool)) + ".rank" + std::to_string(r));
+                     std::string(to_string(label)) + ".rank" + std::to_string(r));
   }
   const sim::TimePoint end = simulation.run();
   RunOutcome out{
@@ -23,7 +26,11 @@ RunOutcome drive(sim::Simulation& simulation, Runtime& runtime, int nprocs, Tool
       .payload_bytes = runtime.payload_bytes_sent(),
       .transport = runtime.transport_total(),
   };
+  if (wire) out.injected = wire->stats();
   out.mailbox = runtime.mailbox_total();
+  auto& acc = transport_accumulator();
+  acc.transport += out.transport;
+  acc.injected += out.injected;
   auto& boxes = mailbox_accumulator();
   boxes.pushes += out.mailbox.pushes;
   boxes.matches += out.mailbox.matches;
@@ -32,39 +39,10 @@ RunOutcome drive(sim::Simulation& simulation, Runtime& runtime, int nprocs, Tool
   return out;
 }
 
-}  // namespace
-
-RunOutcome run_spmd_with_profile(host::PlatformId platform, int nprocs, ToolKind label,
-                                 const ToolProfile& profile, const RankProgram& program) {
-  sim::Simulation simulation;
-  host::Cluster cluster(simulation, platform, nprocs);
-  Runtime runtime(cluster, label, profile);
-  return drive(simulation, runtime, nprocs, label, program);
-}
-
 RunOutcome run_spmd(host::PlatformId platform, int nprocs, ToolKind tool,
-                    const RankProgram& program) {
-  sim::Simulation simulation;
-  host::Cluster cluster(simulation, platform, nprocs);
-  Runtime runtime(cluster, tool);
-  return drive(simulation, runtime, nprocs, tool, program);
-}
-
-RunOutcome run_spmd_faulty(host::PlatformId platform, int nprocs, ToolKind tool,
-                           const fault::FaultPlan& plan, const RankProgram& program) {
-  sim::Simulation simulation;
-  host::Cluster cluster(simulation, platform, nprocs);
-  auto faulty = std::make_unique<fault::FaultyNetwork>(simulation, cluster.take_network(), plan);
-  fault::FaultyNetwork* wire = faulty.get();
-  cluster.install_network(std::move(faulty));
-  // Built after the swap: the Runtime caches the wire's reliability.
-  Runtime runtime(cluster, tool);
-  RunOutcome out = drive(simulation, runtime, nprocs, tool, program);
-  out.injected = wire->stats();
-  auto& acc = transport_accumulator();
-  acc.transport += out.transport;
-  acc.injected += out.injected;
-  return out;
+                    const RankProgram& program, const fault::FaultPlan& faults) {
+  return run_spmd_with_profile(platform, nprocs, tool, tool_profile(tool, platform), program,
+                               faults);
 }
 
 FaultTelemetry& transport_accumulator() noexcept {

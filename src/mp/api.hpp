@@ -36,28 +36,24 @@ struct RunOutcome {
 
 /// Build a cluster of `nprocs` nodes of `platform`, run `program` on every
 /// rank under `tool`, drive the simulation to completion and return the
-/// simulated elapsed time. Throws whatever the program throws.
+/// simulated elapsed time. An enabled `faults` plan wraps the platform
+/// network in a fault::FaultyNetwork and switches the kernel to its reliable
+/// transport (sequencing, corrupt-frame rejection, ack/retransmit); a
+/// disabled plan, the default, runs on the bare network. Throws whatever the
+/// program throws, and TransportFailure if a message exhausts its
+/// retransmission budget.
 RunOutcome run_spmd(host::PlatformId platform, int nprocs, ToolKind tool,
-                    const RankProgram& program);
+                    const RankProgram& program, const fault::FaultPlan& faults = {});
 
 /// As above, with an explicit (possibly hypothetical) tool cost profile.
 RunOutcome run_spmd_with_profile(host::PlatformId platform, int nprocs, ToolKind label,
-                                 const ToolProfile& profile, const RankProgram& program);
-
-/// As run_spmd(), but with the platform network wrapped in a
-/// fault::FaultyNetwork driven by `plan`. A disabled plan (all rates zero,
-/// no flap windows) takes the ordinary reliable path and produces
-/// bit-identical timings to run_spmd(); an armed plan switches the kernel
-/// to its reliable transport (sequencing, corrupt-frame rejection,
-/// ack/retransmit). Throws TransportFailure if a message exhausts its
-/// retransmission budget.
-RunOutcome run_spmd_faulty(host::PlatformId platform, int nprocs, ToolKind tool,
-                           const fault::FaultPlan& plan, const RankProgram& program);
+                                 const ToolProfile& profile, const RankProgram& program,
+                                 const fault::FaultPlan& faults = {});
 
 /// Thread-local accumulator of per-run transport + injection stats, summed
-/// over every run_spmd_faulty() call on this thread. The sweep runner
-/// snapshots it around worker batches to aggregate fleet-wide fault
-/// telemetry without touching the deterministic result path.
+/// over every run_spmd* call on this thread. The sweep runner snapshots it
+/// around worker batches to aggregate fleet-wide fault telemetry without
+/// touching the deterministic result path.
 struct FaultTelemetry {
   TransportStats transport{};
   fault::InjectionStats injected{};

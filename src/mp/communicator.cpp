@@ -52,6 +52,17 @@ sim::Duration Communicator::daemon_latency(std::int64_t bytes, sim::Duration ser
   return std::max(fill, service - wire);
 }
 
+Handoff Communicator::direct_handoff(int dst, std::int64_t bytes) const {
+  const auto& p = profile();
+  if (!p.recv_in_background) return {};
+  // Express buffer layer: the receive engine drains and reassembles packets
+  // concurrently with the application (and the wire).
+  const auto& cpu = rt_.node(dst).cpu();
+  return {.stage = Handoff::Stage::RxEngine,
+          .service = sim::from_seconds(p.recv_copies * cpu.copy(bytes).seconds()) +
+                     packets_for(bytes) * p.per_packet_recv};
+}
+
 bool Communicator::probe(int src, int tag) {
   return rt_.mailbox(rank_).poll(TagSourceMatch{src, tag});
 }
@@ -70,8 +81,8 @@ sim::Task<void> Communicator::send(int dst, int tag, Payload payload) {
                  .bytes = n,
                  .id = trace_id,
                  .kind = trace::Kind::SendBegin,
-                 .rank = static_cast<std::int16_t>(rank_),
-                 .peer = static_cast<std::int16_t>(dst),
+                 .rank = trace_node(rank_),
+                 .peer = trace_node(dst),
                  .tag = tag});
   }
   // Closes the blocking span at each of send's exits (the blocking shapes
@@ -83,8 +94,8 @@ sim::Task<void> Communicator::send(int dst, int tag, Payload payload) {
                    .aux1 = send_begin_ns,
                    .id = trace_id,
                    .kind = trace::Kind::SendEnd,
-                   .rank = static_cast<std::int16_t>(rank_),
-                   .peer = static_cast<std::int16_t>(dst),
+                   .rank = trace_node(rank_),
+                   .peer = trace_node(dst),
                    .tag = tag});
     }
   };
@@ -99,8 +110,8 @@ sim::Task<void> Communicator::send(int dst, int tag, Payload payload) {
                  .aux0 = app_cost.ns,
                  .id = trace_id,
                  .kind = trace::Kind::Pack,
-                 .rank = static_cast<std::int16_t>(rank_),
-                 .peer = static_cast<std::int16_t>(dst),
+                 .rank = trace_node(rank_),
+                 .peer = trace_node(dst),
                  .tag = tag});
   }
   co_await sim().delay(app_cost);
@@ -121,28 +132,9 @@ sim::Task<void> Communicator::send(int dst, int tag, Payload payload) {
         sim::from_seconds(prof.send_copies * cpu.copy(n).seconds()) +
         packets_for(n) * prof.per_packet_send;
     const sim::TimePoint e1 = rt_.tx_engine(rank_).reserve(engine_work);
-    Runtime* rt = &rt_;
-    const int src_rank = rank_;
-    const bool background = prof.recv_in_background;
-    const double recv_copies = prof.recv_copies;
-    const sim::Duration per_packet_recv = packets_for(n) * prof.per_packet_recv;
-    rt_.sim().schedule_at(e1, [rt, src_rank, dst, n, background, recv_copies,
-                               per_packet_recv, trace_id, msg = std::move(msg)]() mutable {
-      rt->kernel_transfer(
-          src_rank, dst, n,
-          [rt, dst, n, background, recv_copies, per_packet_recv,
-           msg = std::move(msg)](sim::TimePoint t2) mutable {
-            if (background) {
-              const auto& cpu = rt->node(dst).cpu();
-              const sim::Duration service =
-                  sim::from_seconds(recv_copies * cpu.copy(n).seconds()) + per_packet_recv;
-              const sim::TimePoint b = rt->rx_engine(dst).reserve(service);
-              rt->deliver_at(b, dst, std::move(msg));
-            } else {
-              rt->deliver_at(t2, dst, std::move(msg));
-            }
-          },
-          std::nullopt, trace_id);
+    rt_.sim().schedule_at(e1, [rt = &rt_, src = rank_, dst, handoff = direct_handoff(dst, n),
+                               msg = std::move(msg)]() mutable {
+      rt->kernel_transfer(src, dst, std::move(msg), handoff);
     });
     // exsend blocks until the buffer layer has packetised the message (the
     // receive side still pipelines with the wire).
@@ -154,12 +146,7 @@ sim::Task<void> Communicator::send(int dst, int tag, Payload payload) {
   if (prof.via_daemon && route_direct_) {
     // PvmRouteDirect: task-to-task TCP, no daemons, no fragment/ack wire
     // protocol; the send stays asynchronous (buffer handed to the kernel).
-    Runtime* rt = &rt_;
-    rt_.kernel_transfer(rank_, dst, n,
-                        [rt, dst, msg = std::move(msg)](sim::TimePoint t2) mutable {
-                          rt->deliver_at(t2, dst, std::move(msg));
-                        },
-                        std::nullopt, trace_id);
+    rt_.kernel_transfer(rank_, dst, std::move(msg), Handoff{});
     emit_send_end();
     co_return;
   }
@@ -172,60 +159,25 @@ sim::Task<void> Communicator::send(int dst, int tag, Payload payload) {
     // fragment unless the daemon -- not the wire -- is the bottleneck.
     const sim::Duration service = daemon_service(n);
     const sim::Duration latency = daemon_latency(n, service);
-    const double penalty = prof.daemon_duplex_penalty;
-    auto daemon_hop = [penalty](sim::SerialResource& d, sim::Simulation& s,
-                                sim::Duration svc, sim::Duration lat) {
-      if (d.busy_until() > s.now()) {  // backlogged: duplex thrash
-        svc = sim::from_seconds(svc.seconds() * penalty);
-        lat = sim::from_seconds(lat.seconds() * penalty);
-      }
-      return d.reserve_pipelined(svc, lat);
-    };
-    const sim::TimePoint d1 = daemon_hop(rt_.daemon(rank_), sim(), service, latency);
-    Runtime* rt = &rt_;
-    const int src_rank = rank_;
+    const sim::TimePoint d1 = rt_.daemon_hop(rank_, service, latency);
     const net::ChunkProtocol wire_protocol{.chunk_bytes = prof.daemon_fragment,
                                            .ack_bytes = 64,
                                            .turnaround = sim::microseconds(250)};
     rt_.sim().schedule_at(
-        d1, [rt, src_rank, dst, n, service, latency, daemon_hop, wire_protocol,
-             trace_id, msg = std::move(msg)]() mutable {
-          rt->kernel_transfer(
-              src_rank, dst, n,
-              [rt, dst, service, latency, daemon_hop, msg = std::move(msg)](
-                  sim::TimePoint) mutable {
-                const sim::TimePoint d2 =
-                    daemon_hop(rt->daemon(dst), rt->sim(), service, latency);
-                rt->deliver_at(d2, dst, std::move(msg));
-              },
-              wire_protocol, trace_id);
+        d1, [rt = &rt_, src = rank_, dst, service, latency, wire_protocol,
+             msg = std::move(msg)]() mutable {
+          rt->kernel_transfer(src, dst, std::move(msg),
+                              Handoff{.stage = Handoff::Stage::Daemon,
+                                      .service = service,
+                                      .latency = latency},
+                              wire_protocol);
         });
     emit_send_end();
     co_return;  // pvm_send does not wait for the wire
   }
 
   // Direct route (p4, Express).
-  Runtime* rt = &rt_;
-  const bool background = prof.recv_in_background;
-  const double recv_copies = prof.recv_copies;
-  const sim::Duration per_packet_recv = packets_for(n) * prof.per_packet_recv;
-  const sim::TimePoint t1 = rt_.kernel_transfer(
-      rank_, dst, n,
-      [rt, dst, n, background, recv_copies, per_packet_recv,
-       msg = std::move(msg)](sim::TimePoint t2) mutable {
-        if (background) {
-          // Express buffer layer: the receive engine drains and reassembles
-          // packets concurrently with the application (and the wire).
-          const auto& cpu = rt->node(dst).cpu();
-          const sim::Duration service =
-              sim::from_seconds(recv_copies * cpu.copy(n).seconds()) + per_packet_recv;
-          const sim::TimePoint b = rt->rx_engine(dst).reserve(service);
-          rt->deliver_at(b, dst, std::move(msg));
-        } else {
-          rt->deliver_at(t2, dst, std::move(msg));
-        }
-      },
-      std::nullopt, trace_id);
+  const sim::TimePoint t1 = rt_.kernel_transfer(rank_, dst, std::move(msg), direct_handoff(dst, n));
   if (prof.blocking_send) co_await sim().delay_until(t1);
   emit_send_end();
 }
@@ -248,8 +200,8 @@ sim::Task<Message> Communicator::recv(int src, int tag) {
                  .aux0 = post.ns,
                  .id = m.trace_id,
                  .kind = trace::Kind::Unpack,
-                 .rank = static_cast<std::int16_t>(rank_),
-                 .peer = static_cast<std::int16_t>(m.src),
+                 .rank = trace_node(rank_),
+                 .peer = trace_node(m.src),
                  .tag = m.tag});
   }
   co_await sim().delay(post);
@@ -260,8 +212,8 @@ sim::Task<Message> Communicator::recv(int src, int tag) {
                  .aux1 = recv_begin_ns,
                  .id = m.trace_id,
                  .kind = trace::Kind::RecvEnd,
-                 .rank = static_cast<std::int16_t>(rank_),
-                 .peer = static_cast<std::int16_t>(m.src),
+                 .rank = trace_node(rank_),
+                 .peer = trace_node(m.src),
                  .tag = m.tag});
   }
   co_return m;
@@ -277,15 +229,15 @@ namespace {
 /// on this rank.
 class CollSpan {
  public:
-  CollSpan(sim::Simulation& sim, int rank, trace::CollOp op) noexcept
-      : sim_(sim), rank_(rank), op_(op) {
+  CollSpan(sim::Simulation& sim, std::int16_t node, trace::CollOp op) noexcept
+      : sim_(sim), node_(node), op_(op) {
     if (trace::active()) {
       armed_ = true;
       begin_ns_ = sim_.now().ns;
       trace::emit({.t_ns = begin_ns_,
                    .aux0 = static_cast<std::int64_t>(op_),
                    .kind = trace::Kind::CollBegin,
-                   .rank = static_cast<std::int16_t>(rank_)});
+                   .rank = node_});
     }
   }
   ~CollSpan() {
@@ -295,7 +247,7 @@ class CollSpan {
                      .aux0 = static_cast<std::int64_t>(op_),
                      .aux1 = begin_ns_,
                      .kind = trace::Kind::CollEnd,
-                     .rank = static_cast<std::int16_t>(rank_)});
+                     .rank = node_});
       }
     }
   }
@@ -304,7 +256,7 @@ class CollSpan {
 
  private:
   sim::Simulation& sim_;
-  int rank_;
+  std::int16_t node_;
   trace::CollOp op_;
   std::int64_t begin_ns_{0};
   bool armed_{false};
@@ -313,7 +265,7 @@ class CollSpan {
 }  // namespace
 
 sim::Task<void> Communicator::broadcast(int root, Payload& data, int tag) {
-  const CollSpan span(sim(), rank_, trace::CollOp::Broadcast);
+  const CollSpan span(sim(), trace_node(rank_), trace::CollOp::Broadcast);
   const int p = size();
   if (p == 1) co_return;
   const auto& prof = profile();
@@ -369,7 +321,7 @@ sim::Task<void> Communicator::broadcast(int root, Bytes& data, int tag) {
 }
 
 sim::Task<void> Communicator::barrier() {
-  const CollSpan span(sim(), rank_, trace::CollOp::Barrier);
+  const CollSpan span(sim(), trace_node(rank_), trace::CollOp::Barrier);
   const int p = size();
   if (p == 1) co_return;
   switch (profile().barrier_algo) {
@@ -471,7 +423,7 @@ void assign_from(std::vector<T>& v, std::span<const T> other) {
 
 template <typename T>
 sim::Task<void> Communicator::global_sum_impl(std::vector<T>& v) {
-  const CollSpan span(sim(), rank_, trace::CollOp::GlobalSum);
+  const CollSpan span(sim(), trace_node(rank_), trace::CollOp::GlobalSum);
   const auto& prof = profile();
   switch (prof.reduce_algo) {
     case ToolProfile::ReduceAlgo::Unsupported:
@@ -589,12 +541,12 @@ sim::Task<void> Communicator::global_sum(std::vector<std::int32_t>& v) {
 
 namespace {
 
-void emit_compute(sim::Simulation& sim, int rank, sim::Duration d) {
+void emit_compute(sim::Simulation& sim, std::int16_t node, sim::Duration d) {
   if (trace::active()) {
     trace::emit({.t_ns = sim.now().ns,
                  .aux0 = d.ns,
                  .kind = trace::Kind::Compute,
-                 .rank = static_cast<std::int16_t>(rank)});
+                 .rank = node});
   }
 }
 
@@ -602,17 +554,17 @@ void emit_compute(sim::Simulation& sim, int rank, sim::Duration d) {
 
 sim::Task<void> Communicator::compute_flops(double flops) {
   const sim::Duration d = node().cpu().compute(flops);
-  emit_compute(sim(), rank_, d);
+  emit_compute(sim(), trace_node(rank_), d);
   co_await sim().delay(d);
 }
 sim::Task<void> Communicator::compute_intops(double ops) {
   const sim::Duration d = node().cpu().int_ops(ops);
-  emit_compute(sim(), rank_, d);
+  emit_compute(sim(), trace_node(rank_), d);
   co_await sim().delay(d);
 }
 sim::Task<void> Communicator::compute_copy(std::int64_t bytes) {
   const sim::Duration d = node().cpu().copy(bytes);
-  emit_compute(sim(), rank_, d);
+  emit_compute(sim(), trace_node(rank_), d);
   co_await sim().delay(d);
 }
 

@@ -114,6 +114,15 @@ class Communicator {
   [[nodiscard]] sim::Duration send_side_cost(std::int64_t bytes) const;
   [[nodiscard]] sim::Duration daemon_service(std::int64_t bytes) const;
   [[nodiscard]] sim::Duration daemon_latency(std::int64_t bytes, sim::Duration service) const;
+  /// The receive handoff of a message sent on the direct route (no pvmd):
+  /// the Express receive engine when the tool drains in the background,
+  /// else straight to the mailbox.
+  [[nodiscard]] Handoff direct_handoff(int dst, std::int64_t bytes) const;
+  /// Trace records name cluster nodes, so the jobs sharing one cluster keep
+  /// apart in a trace.
+  [[nodiscard]] std::int16_t trace_node(int rank) const noexcept {
+    return static_cast<std::int16_t>(rt_.node_of(rank));
+  }
 
   Runtime& rt_;
   int rank_;

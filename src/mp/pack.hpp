@@ -91,8 +91,10 @@ class Packer {
   Packer& put_span(std::span<const T> v) {
     put<std::uint64_t>(v.size());
     if (!v.empty()) {  // empty spans may have data() == nullptr: no arithmetic on it
-      const auto* p = reinterpret_cast<const std::byte*>(v.data());
-      buf_.insert(buf_.end(), p, p + v.size() * sizeof(T));
+      const std::size_t at = buf_.size();
+      const std::size_t n = v.size() * sizeof(T);
+      buf_.resize(at + n);
+      std::memcpy(buf_.data() + at, v.data(), n);
     }
     return *this;
   }

@@ -18,19 +18,21 @@ constexpr int kMaxBackoffShift = 8;     // RTO doubling cap: base * 2^8
 }  // namespace
 
 /// One reliable-transport message. Shared between the sender side (attempt
-/// counter, retransmission deadline) and the receiver side (the delivery
-/// continuation, which carries the payload) -- the simulation is
-/// single-threaded, so this is bookkeeping, not shared-memory cheating:
-/// every field change happens at a definite simulated time on the side
-/// that owns it.
+/// counter, retransmission deadline) and the receiver side (the message and
+/// its receive handoff) -- the simulation is single-threaded, so this is
+/// bookkeeping, not shared-memory cheating: every field change happens at a
+/// definite simulated time on the side that owns it.
 struct Runtime::Flight {
   int src{0};
   int dst{0};
+  // The message's size, kept apart: the in-order release moves the payload
+  // out, and a spurious retransmission after it still sends these bytes.
+  // (The move leaves `msg`'s scalar fields, so `msg.trace_id` stays valid.)
   std::int64_t bytes{0};
   std::uint64_t seq{0};
-  sim::PooledFunction<void(sim::TimePoint)> delivered;
+  Message msg;
+  Handoff handoff;
   std::optional<net::ChunkProtocol> chunked;
-  std::uint64_t trace_id{0};            // message correlation id (0: untraced)
   int attempt{0};
   bool completed{false};                // an ack reached the sender
   sim::TimePoint deadline{};            // current attempt's retransmission deadline
@@ -80,10 +82,9 @@ TransportStats Runtime::transport_total() const noexcept {
   return total;
 }
 
-sim::TimePoint Runtime::kernel_transfer(int src, int dst, std::int64_t bytes,
-                                        sim::PooledFunction<void(sim::TimePoint)> delivered,
-                                        std::optional<net::ChunkProtocol> chunked,
-                                        std::uint64_t trace_id) {
+sim::TimePoint Runtime::kernel_transfer(int src, int dst, Message msg, Handoff handoff,
+                                        std::optional<net::ChunkProtocol> chunked) {
+  const std::int64_t bytes = msg.size_bytes();
   ++messages_sent_;
   payload_bytes_ += static_cast<std::uint64_t>(bytes);
   auto& simulation = sim();
@@ -94,8 +95,9 @@ sim::TimePoint Runtime::kernel_transfer(int src, int dst, std::int64_t bytes,
     // Fast path: the wire delivers every frame intact exactly once, so no
     // sequencing/reject/ack machinery runs (and fault-free timings stay
     // bit-identical to the pre-fault kernel).
-    simulation.schedule_at(t1, [this, src, dst, bytes, chunked, trace_id,
-                                delivered = std::move(delivered)]() mutable {
+    simulation.schedule_at(t1, [this, src, dst, handoff, chunked,
+                                msg = std::move(msg)]() mutable {
+      const std::int64_t bytes = msg.size_bytes();
       const net::NodeId s = node_of(src);
       const net::NodeId d = node_of(dst);
       const sim::TimePoint arrival =
@@ -106,15 +108,18 @@ sim::TimePoint Runtime::kernel_transfer(int src, int dst, std::int64_t bytes,
                      .bytes = bytes,
                      .aux0 = arrival.ns,
                      .aux1 = 1,  // single attempt on a reliable wire
-                     .id = trace_id,
+                     .id = msg.trace_id,
                      .kind = trace::Kind::MsgWire,
                      .rank = static_cast<std::int16_t>(s),
                      .peer = static_cast<std::int16_t>(d)});
       }
-      sim().schedule_at(arrival, [this, dst, bytes, delivered = std::move(delivered)]() mutable {
+      sim().schedule_at(arrival, [this, dst, handoff, msg = std::move(msg)]() mutable {
         auto& dst_node = node(dst);
-        const sim::TimePoint t2 = dst_node.stack().reserve(dst_node.stack_service(bytes));
-        sim().schedule_at(t2, [delivered = std::move(delivered), t2] { delivered(t2); });
+        const sim::TimePoint t2 =
+            dst_node.stack().reserve(dst_node.stack_service(msg.size_bytes()));
+        sim().schedule_at(t2, [this, dst, handoff, msg = std::move(msg)]() mutable {
+          hand_off(dst, std::move(msg), handoff);
+        });
       });
     });
     return t1;
@@ -125,9 +130,9 @@ sim::TimePoint Runtime::kernel_transfer(int src, int dst, std::int64_t bytes,
   flight->dst = dst;
   flight->bytes = bytes;
   flight->seq = tx_seq(src, dst)++;  // send order == t1 order (FIFO src stack)
-  flight->delivered = std::move(delivered);
+  flight->msg = std::move(msg);
+  flight->handoff = handoff;
   flight->chunked = chunked;
-  flight->trace_id = trace_id;
   const auto& network = cluster_.network();
   const double round_trip_s =
       static_cast<double>(network.wire_bytes(bytes) + network.wire_bytes(kAckBytes)) * 8.0 /
@@ -135,6 +140,31 @@ sim::TimePoint Runtime::kernel_transfer(int src, int dst, std::int64_t bytes,
   flight->rto_base = sim::from_seconds(4.0 * round_trip_s) + sim::milliseconds(2);
   reliable_transfer(std::move(flight), t1);
   return t1;
+}
+
+void Runtime::hand_off(int dst, Message msg, const Handoff& handoff) {
+  sim::TimePoint at = sim().now();
+  switch (handoff.stage) {
+    case Handoff::Stage::Mailbox:
+      break;
+    case Handoff::Stage::RxEngine:
+      at = rx_engine(dst).reserve(handoff.service);
+      break;
+    case Handoff::Stage::Daemon:
+      at = daemon_hop(dst, handoff.service, handoff.latency);
+      break;
+  }
+  deliver_at(at, dst, std::move(msg));
+}
+
+sim::TimePoint Runtime::daemon_hop(int rank, sim::Duration service, sim::Duration latency) {
+  sim::SerialResource& d = daemon(rank);
+  if (d.busy_until() > sim().now()) {  // backlogged: duplex thrash
+    const double penalty = profile_.daemon_duplex_penalty;
+    service = sim::from_seconds(service.seconds() * penalty);
+    latency = sim::from_seconds(latency.seconds() * penalty);
+  }
+  return d.reserve_pipelined(service, latency);
 }
 
 void Runtime::reliable_transfer(std::shared_ptr<Flight> flight, sim::TimePoint at) {
@@ -172,7 +202,7 @@ void Runtime::transmit_attempt(const std::shared_ptr<Flight>& flight) {
                    .bytes = flight->bytes,
                    .aux0 = d.arrival.ns,
                    .aux1 = flight->attempt,
-                   .id = flight->trace_id,
+                   .id = flight->msg.trace_id,
                    .kind = trace::Kind::MsgWire,
                    .rank = static_cast<std::int16_t>(src_node),
                    .peer = static_cast<std::int16_t>(dst_node)});
@@ -194,8 +224,8 @@ void Runtime::transmit_attempt(const std::shared_ptr<Flight>& flight) {
                    .aux0 = flight->attempt,
                    .id = flight->seq,
                    .kind = trace::Kind::FrameDrop,
-                   .rank = static_cast<std::int16_t>(flight->src),
-                   .peer = static_cast<std::int16_t>(flight->dst)});
+                   .rank = static_cast<std::int16_t>(src_node),
+                   .peer = static_cast<std::int16_t>(dst_node)});
     }
     arm_retransmit(flight, flight->deadline);
     return;
@@ -229,8 +259,8 @@ void Runtime::arm_retransmit(const std::shared_ptr<Flight>& flight, sim::TimePoi
                    .aux0 = armed_for,
                    .id = flight->seq,
                    .kind = trace::Kind::Retransmit,
-                   .rank = static_cast<std::int16_t>(flight->src),
-                   .peer = static_cast<std::int16_t>(flight->dst)});
+                   .rank = static_cast<std::int16_t>(node_of(flight->src)),
+                   .peer = static_cast<std::int16_t>(node_of(flight->dst))});
     }
     transmit_attempt(flight);
   });
@@ -244,8 +274,8 @@ void Runtime::on_data_frame(const std::shared_ptr<Flight>& flight, bool corrupte
                    .bytes = flight->bytes,
                    .id = flight->seq,
                    .kind = trace::Kind::CorruptReject,
-                   .rank = static_cast<std::int16_t>(flight->dst),
-                   .peer = static_cast<std::int16_t>(flight->src)});
+                   .rank = static_cast<std::int16_t>(node_of(flight->dst)),
+                   .peer = static_cast<std::int16_t>(node_of(flight->src))});
     }
     return;  // no ack; the sender's retransmission timer is already armed
   }
@@ -259,8 +289,8 @@ void Runtime::on_data_frame(const std::shared_ptr<Flight>& flight, bool corrupte
                    .bytes = flight->bytes,
                    .id = flight->seq,
                    .kind = trace::Kind::DupDiscard,
-                   .rank = static_cast<std::int16_t>(flight->dst),
-                   .peer = static_cast<std::int16_t>(flight->src)});
+                   .rank = static_cast<std::int16_t>(node_of(flight->dst)),
+                   .peer = static_cast<std::int16_t>(node_of(flight->src))});
     }
     send_ack(flight);
     return;
@@ -278,7 +308,9 @@ void Runtime::on_data_frame(const std::shared_ptr<Flight>& flight, bool corrupte
 void Runtime::release_to_receiver(const std::shared_ptr<Flight>& flight) {
   auto& dst_node = node(flight->dst);
   const sim::TimePoint t2 = dst_node.stack().reserve(dst_node.stack_service(flight->bytes));
-  sim().schedule_at(t2, [flight, t2] { flight->delivered(t2); });
+  sim().schedule_at(t2, [this, flight] {
+    hand_off(flight->dst, std::move(flight->msg), flight->handoff);
+  });
 }
 
 void Runtime::send_ack(const std::shared_ptr<Flight>& flight) {
@@ -297,8 +329,8 @@ void Runtime::send_ack(const std::shared_ptr<Flight>& flight) {
                    .aux0 = flight->attempt,
                    .id = flight->seq,
                    .kind = trace::Kind::FrameDrop,
-                   .rank = static_cast<std::int16_t>(flight->dst),
-                   .peer = static_cast<std::int16_t>(flight->src)});
+                   .rank = static_cast<std::int16_t>(node_of(flight->dst)),
+                   .peer = static_cast<std::int16_t>(node_of(flight->src))});
     }
     arm_retransmit(flight, flight->deadline);
     return;
@@ -314,7 +346,9 @@ void Runtime::send_ack(const std::shared_ptr<Flight>& flight) {
 }
 
 void Runtime::deliver_at(sim::TimePoint at, int dst, Message msg) {
-  sim().schedule_at(at, [this, dst, msg = std::move(msg)] { mailbox(dst).push(msg); });
+  sim().schedule_at(at, [this, dst, msg = std::move(msg)]() mutable {
+    mailbox(dst).push(std::move(msg));
+  });
 }
 
 }  // namespace pdc::mp

@@ -3,9 +3,14 @@
 //
 // The runtime owns per-rank mailboxes and the per-node auxiliary resources
 // (pvmd daemons, Express background receive engines) and implements the
-// kernel transfer pipeline: sender stack -> wire -> receiver stack, as a
-// chain of scheduled events so every resource reservation happens at its
-// own moment in simulated time (exact FIFO queueing).
+// kernel transfer pipeline: sender stack -> wire -> receiver stack ->
+// receive handoff, as a chain of scheduled events so every resource
+// reservation happens at its own moment in simulated time (exact FIFO
+// queueing). The message itself travels down that chain as plain data; the
+// last hop is named by a `Handoff` -- where the receiving node's tool stack
+// takes the message (straight to the process, through the Express receive
+// engine, or through the destination pvmd), which is where the paper's
+// receive-side architectures differ.
 //
 // On a reliable wire (every catalogued physical network) the pipeline is
 // exactly that three-hop chain. When the cluster's network reports
@@ -34,7 +39,6 @@
 #include "mp/profile.hpp"
 #include "mp/tool.hpp"
 #include "sim/mailbox.hpp"
-#include "sim/pooled_function.hpp"
 #include "sim/resource.hpp"
 
 namespace pdc::mp {
@@ -82,6 +86,20 @@ class TransportFailure : public std::runtime_error {
 struct NodeRange {
   int base{0};
   int count{0};
+};
+
+/// The receive side of one message: the stage the destination's tool stack
+/// routes it through once the destination kernel has it, with the costs
+/// the sender already computed for that stage.
+struct Handoff {
+  enum class Stage : std::uint8_t {
+    Mailbox,   ///< straight into the process's mailbox (p4, PvmRouteDirect)
+    RxEngine,  ///< Express buffer layer: the background receive engine drains it
+    Daemon,    ///< PVM: the destination pvmd forwards it
+  };
+  Stage stage{Stage::Mailbox};
+  sim::Duration service{};  ///< the stage's busy time (RxEngine, Daemon)
+  sim::Duration latency{};  ///< pipeline-fill latency (Daemon)
 };
 
 class Runtime {
@@ -156,20 +174,14 @@ class Runtime {
     return total;
   }
 
-  /// Push `bytes` through sender stack -> network -> receiver stack,
-  /// starting now. Returns the sender-stack completion time (what a
-  /// blocking send waits for); invokes `delivered` (via the scheduler) when
-  /// the receiver's kernel has the data; the payload itself travels in
-  /// that continuation. `chunked` selects the fragment+ack wire protocol
-  /// (PVM daemon traffic). The continuation rides in a pool-backed
-  /// callable so per-message delivery never hits malloc.
-  /// `trace_id` correlates the wire hops with the originating send's trace
-  /// records; 0 (the default, and always when tracing is inactive) records
-  /// nothing.
-  sim::TimePoint kernel_transfer(int src, int dst, std::int64_t bytes,
-                                 sim::PooledFunction<void(sim::TimePoint)> delivered,
-                                 std::optional<net::ChunkProtocol> chunked = std::nullopt,
-                                 std::uint64_t trace_id = 0);
+  /// Push `msg` through sender stack -> network -> receiver stack, starting
+  /// now, then route it through `handoff`'s stage into rank `dst`'s mailbox.
+  /// The byte count and the trace id (0: untraced) come from the message.
+  /// Returns the sender-stack completion time (what a blocking send waits
+  /// for). `chunked` selects the fragment+ack wire protocol (PVM daemon
+  /// traffic).
+  sim::TimePoint kernel_transfer(int src, int dst, Message msg, Handoff handoff,
+                                 std::optional<net::ChunkProtocol> chunked = std::nullopt);
 
   /// Hand a message to rank `dst`'s mailbox at time `at`.
   void deliver_at(sim::TimePoint at, int dst, Message msg);
@@ -220,6 +232,13 @@ class Runtime {
     }
     return *slot;
   }
+
+  /// The receive handoff, run when rank `dst`'s kernel has the message.
+  void hand_off(int dst, Message msg, const Handoff& handoff);
+  /// Reserve rank `rank`'s pvmd for one message (either side of the daemon
+  /// route). A backlogged daemon thrashes between its in and out streams:
+  /// the profile's duplex penalty scales both costs.
+  sim::TimePoint daemon_hop(int rank, sim::Duration service, sim::Duration latency);
 
   void reliable_transfer(std::shared_ptr<Flight> flight, sim::TimePoint at);
   void transmit_attempt(const std::shared_ptr<Flight>& flight);

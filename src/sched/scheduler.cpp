@@ -345,13 +345,7 @@ ScheduleOutcome Scheduler::harvest() const {
 ScheduleOutcome run_schedule(const ScheduleConfig& config, std::vector<JobSpec> jobs) {
   sim::Simulation simulation;
   host::Cluster cluster(simulation, config.platform, config.nodes);
-  fault::FaultyNetwork* wire = nullptr;
-  if (config.faults.enabled()) {
-    auto faulty =
-        std::make_unique<fault::FaultyNetwork>(simulation, cluster.take_network(), config.faults);
-    wire = faulty.get();
-    cluster.install_network(std::move(faulty));
-  }
+  const fault::FaultyNetwork* wire = fault::install_faults(cluster, config.faults);
 
   Scheduler scheduler(simulation, cluster, config.policy);
   std::sort(jobs.begin(), jobs.end(), [](const JobSpec& a, const JobSpec& b) {

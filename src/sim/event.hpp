@@ -23,9 +23,10 @@ namespace pdc::sim {
 
 class Event {
  public:
-  /// Inline capture budget. Sized to hold the runtime's per-message
-  /// delivery closures (a pointer, a rank and a Message) without spilling.
-  static constexpr std::size_t kInlineBytes = 40;
+  /// Inline capture budget: all the storage the max-aligned union occupies
+  /// anyway. It holds the runtime's per-message mailbox delivery closure (a
+  /// pointer, a rank and a Message: 48 bytes) without spilling.
+  static constexpr std::size_t kInlineBytes = 48;
 
   Event() noexcept : handle_(nullptr) {}
 
@@ -160,5 +161,9 @@ class Event {
   };
   const Ops* ops_{nullptr};  // nullptr: coroutine resume (or empty)
 };
+
+// The inline budget fills the aligned union exactly: one more byte of budget
+// would grow every queued event by a whole alignment step.
+static_assert(sizeof(Event) == 64);
 
 }  // namespace pdc::sim

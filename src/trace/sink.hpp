@@ -6,6 +6,9 @@
 // two index bumps. The buffer is a power-of-two ring in flight-recorder
 // mode -- when it saturates, the oldest record is overwritten and counted
 // as dropped, so a bounded capture always holds the most recent window.
+// The ring is reserved up front but filled as records arrive, so a capture
+// pays for the records it holds, not for its capacity (the untouched part
+// of the reservation is never written).
 //
 // Installation is via a thread-local current-sink pointer (ScopedCapture).
 // Every build carries the instrumentation probes in the sim/mp/net/sched/
@@ -42,9 +45,8 @@ class Sink {
   explicit Sink(std::size_t capacity = kDefaultCapacity,
                 std::uint32_t mask = kDefaultMask)
       : mask_(mask) {
-    std::size_t cap = 1;
-    while (cap < capacity) cap <<= 1;
-    buf_.resize(cap);
+    while (capacity_ < capacity) capacity_ <<= 1;
+    buf_.reserve(capacity_);
   }
 
   Sink(const Sink&) = delete;
@@ -55,17 +57,17 @@ class Sink {
   void emit(const Record& r) noexcept {
     if ((mask_ & category(r.kind)) == 0) return;
     ++stats_.emitted;
-    buf_[head_] = r;
-    head_ = (head_ + 1) & (buf_.size() - 1);
-    if (size_ < buf_.size()) {
-      ++size_;
+    if (buf_.size() < capacity_) {
+      buf_.push_back(r);  // within the reservation: never reallocates
     } else {
+      buf_[head_] = r;
       ++stats_.dropped;  // overwrote the oldest surviving record
     }
+    head_ = (head_ + 1) & (capacity_ - 1);
   }
 
-  [[nodiscard]] std::size_t capacity() const noexcept { return buf_.size(); }
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
+  [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
   [[nodiscard]] std::uint32_t mask() const noexcept { return mask_; }
   [[nodiscard]] const SinkStats& stats() const noexcept { return stats_; }
 
@@ -77,26 +79,26 @@ class Sink {
   /// Surviving records in emit order (oldest first).
   [[nodiscard]] std::vector<Record> snapshot() const {
     std::vector<Record> out;
-    out.reserve(size_);
-    const std::size_t start = (head_ + buf_.size() - size_) & (buf_.size() - 1);
-    for (std::size_t i = 0; i < size_; ++i) {
-      out.push_back(buf_[(start + i) & (buf_.size() - 1)]);
+    out.reserve(buf_.size());
+    const std::size_t start = (head_ + capacity_ - buf_.size()) & (capacity_ - 1);
+    for (std::size_t i = 0; i < buf_.size(); ++i) {
+      out.push_back(buf_[(start + i) & (capacity_ - 1)]);
     }
     return out;
   }
 
   /// Forget everything but keep capacity and mask (capture reuse).
   void clear() noexcept {
+    buf_.clear();
     head_ = 0;
-    size_ = 0;
     stats_ = {};
     msg_seq_ = 0;
   }
 
  private:
-  std::vector<Record> buf_;  // power-of-two ring
-  std::size_t head_{0};      // next write slot
-  std::size_t size_{0};      // live records
+  std::vector<Record> buf_;    // the ring's live records, at most capacity_
+  std::size_t capacity_{1};    // ring slots, a power of two
+  std::size_t head_{0};        // next write slot
   std::uint32_t mask_;
   SinkStats stats_{};
   std::uint64_t msg_seq_{0};  // last message id handed out

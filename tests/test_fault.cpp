@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <memory>
 #include <numbers>
 #include <span>
 #include <vector>
@@ -105,7 +106,10 @@ TEST(FaultyNetworkCtor, RejectsInvalidPlans) {
 
 // ---------- zero-fault plan == plain wire, bit for bit ----------------------
 
-TEST(ZeroFaultPlan, RunSpmdFaultyMatchesRunSpmdExactly) {
+TEST(ZeroFaultPlan, DisabledPlanDecoratorMatchesBareWireExactly) {
+  // run_spmd leaves the wire bare for a disabled plan, so the decorator is
+  // wired by hand here: a FaultyNetwork with a dead plan must be a pure
+  // passthrough, bit for bit.
   auto program = [](mp::Communicator& c) -> sim::Task<void> {
     if (c.rank() == 0) {
       mp::Bytes data(8192, std::byte{0x5A});
@@ -119,13 +123,23 @@ TEST(ZeroFaultPlan, RunSpmdFaultyMatchesRunSpmdExactly) {
   for (ToolKind tool : mp::all_tools()) {
     for (PlatformId platform : {PlatformId::SunEthernet, PlatformId::SunAtmLan}) {
       const auto plain = mp::run_spmd(platform, 2, tool, program);
-      const auto faulty = mp::run_spmd_faulty(platform, 2, tool, FaultPlan{}, program);
-      EXPECT_EQ(plain.elapsed.ns, faulty.elapsed.ns)
-          << to_string(tool) << " on " << to_string(platform);
-      EXPECT_EQ(plain.events, faulty.events);
-      EXPECT_EQ(plain.messages, faulty.messages);
-      EXPECT_EQ(faulty.transport, mp::TransportStats{});
-      EXPECT_EQ(faulty.injected.frames, 0);  // disabled plan draws nothing
+
+      sim::Simulation simulation;
+      host::Cluster cluster(simulation, platform, 2);
+      auto decorated =
+          std::make_unique<fault::FaultyNetwork>(simulation, cluster.take_network(), FaultPlan{});
+      const fault::FaultyNetwork* wire = decorated.get();
+      cluster.install_network(std::move(decorated));
+      mp::Runtime runtime(cluster, tool);
+      for (int r = 0; r < 2; ++r) simulation.spawn(program(runtime.comm(r)));
+      const sim::Duration elapsed = simulation.run() - sim::TimePoint::origin();
+
+      EXPECT_TRUE(runtime.reliable_wire());
+      EXPECT_EQ(plain.elapsed.ns, elapsed.ns) << to_string(tool) << " on " << to_string(platform);
+      EXPECT_EQ(plain.events, simulation.events_processed());
+      EXPECT_EQ(plain.messages, runtime.messages_sent());
+      EXPECT_EQ(runtime.transport_total(), mp::TransportStats{});
+      EXPECT_EQ(wire->stats().frames, 0);  // disabled plan draws nothing
     }
   }
 }
@@ -172,8 +186,8 @@ mp::RankProgram ordered_stream_program(int count, std::vector<std::int64_t>* rec
 
 TEST(FaultRecovery, SurvivesDropsWithRetransmits) {
   std::vector<std::int64_t> received;
-  const auto out = mp::run_spmd_faulty(PlatformId::SunEthernet, 2, ToolKind::P4,
-                                       FaultPlan::uniform(0.2), ordered_stream_program(40, &received));
+  const auto out = mp::run_spmd(PlatformId::SunEthernet, 2, ToolKind::P4,
+                                ordered_stream_program(40, &received), FaultPlan::uniform(0.2));
   ASSERT_EQ(received.size(), 40u);
   for (int i = 0; i < 40; ++i) EXPECT_EQ(received[static_cast<std::size_t>(i)], i);
   EXPECT_GT(out.injected.drops, 0);
@@ -184,8 +198,8 @@ TEST(FaultRecovery, SurvivesDropsWithRetransmits) {
 TEST(FaultRecovery, RejectsCorruptionByChecksum) {
   std::vector<std::int64_t> received;
   const auto out =
-      mp::run_spmd_faulty(PlatformId::SunAtmLan, 2, ToolKind::P4,
-                          FaultPlan::uniform(0.0, 0.15), ordered_stream_program(40, &received));
+      mp::run_spmd(PlatformId::SunAtmLan, 2, ToolKind::P4, ordered_stream_program(40, &received),
+                   FaultPlan::uniform(0.0, 0.15));
   ASSERT_EQ(received.size(), 40u);
   EXPECT_GT(out.injected.corruptions, 0);
   EXPECT_GT(out.transport.corrupt_rejected, 0);
@@ -195,8 +209,8 @@ TEST(FaultRecovery, RejectsCorruptionByChecksum) {
 TEST(FaultRecovery, DiscardsWireDuplicates) {
   std::vector<std::int64_t> received;
   const auto out =
-      mp::run_spmd_faulty(PlatformId::SunEthernet, 2, ToolKind::P4,
-                          FaultPlan::uniform(0.0, 0.0, 0.4), ordered_stream_program(40, &received));
+      mp::run_spmd(PlatformId::SunEthernet, 2, ToolKind::P4, ordered_stream_program(40, &received),
+                   FaultPlan::uniform(0.0, 0.0, 0.4));
   // Exactly-once delivery: every duplicate was discarded, none leaked.
   ASSERT_EQ(received.size(), 40u);
   EXPECT_GT(out.injected.duplicates, 0);
@@ -205,10 +219,10 @@ TEST(FaultRecovery, DiscardsWireDuplicates) {
 
 TEST(FaultRecovery, ReorderingJitterPreservesAppOrder) {
   std::vector<std::int64_t> received;
-  const auto out = mp::run_spmd_faulty(
+  const auto out = mp::run_spmd(
       PlatformId::SunAtmLan, 2, ToolKind::P4,
-      FaultPlan::uniform(0.0, 0.0, 0.0, 0.5, sim::milliseconds(5)),
-      ordered_stream_program(40, &received));
+      ordered_stream_program(40, &received),
+      FaultPlan::uniform(0.0, 0.0, 0.0, 0.5, sim::milliseconds(5)));
   EXPECT_GT(out.injected.reorders, 0);
   ASSERT_EQ(received.size(), 40u);
   // The transport releases in sequence order, so the app sees FIFO even
@@ -221,8 +235,8 @@ TEST(FaultRecovery, RidesOutLinkFlapWindow) {
   plan.flaps.push_back({.a = 0, .b = 1, .start = sim::TimePoint{0},
                         .end = sim::TimePoint{sim::milliseconds(40).ns}});
   std::vector<std::int64_t> received;
-  const auto out = mp::run_spmd_faulty(PlatformId::SunEthernet, 2, ToolKind::P4, plan,
-                                       ordered_stream_program(8, &received));
+  const auto out = mp::run_spmd(PlatformId::SunEthernet, 2, ToolKind::P4,
+                                ordered_stream_program(8, &received), plan);
   ASSERT_EQ(received.size(), 8u);
   EXPECT_GT(out.injected.flap_drops, 0);
   EXPECT_GT(out.transport.retransmits, 0);
@@ -235,8 +249,8 @@ TEST(FaultRecovery, PermanentOutageRaisesTransportFailure) {
   plan.flaps.push_back({.a = -1, .b = -1, .start = sim::TimePoint{0},
                         .end = sim::TimePoint{sim::seconds(3600).ns}});
   std::vector<std::int64_t> received;
-  EXPECT_THROW(mp::run_spmd_faulty(PlatformId::SunEthernet, 2, ToolKind::P4, plan,
-                                   ordered_stream_program(2, &received)),
+  EXPECT_THROW(mp::run_spmd(PlatformId::SunEthernet, 2, ToolKind::P4,
+                            ordered_stream_program(2, &received), plan),
                mp::TransportFailure);
 }
 
@@ -245,8 +259,8 @@ TEST(FaultRecovery, PermanentOutageRaisesTransportFailure) {
 TEST(FaultDeterminism, SameSeedReplaysBitIdentically) {
   const FaultPlan plan = FaultPlan::uniform(0.15, 0.05, 0.1, 0.2, sim::milliseconds(2));
   auto run_once = [&](std::vector<std::int64_t>* received) {
-    return mp::run_spmd_faulty(PlatformId::SunEthernet, 2, ToolKind::Pvm, plan,
-                               ordered_stream_program(25, received));
+    return mp::run_spmd(PlatformId::SunEthernet, 2, ToolKind::Pvm,
+                        ordered_stream_program(25, received), plan);
   };
   std::vector<std::int64_t> r1, r2;
   const auto a = run_once(&r1);
@@ -266,11 +280,11 @@ TEST(FaultDeterminism, SameSeedReplaysBitIdentically) {
 TEST(FaultDeterminism, DifferentSeedsDiverge) {
   std::vector<std::int64_t> r1, r2;
   const auto a =
-      mp::run_spmd_faulty(PlatformId::SunEthernet, 2, ToolKind::P4,
-                          FaultPlan::uniform(0.25, 0, 0, 0, {}, 1), ordered_stream_program(30, &r1));
+      mp::run_spmd(PlatformId::SunEthernet, 2, ToolKind::P4, ordered_stream_program(30, &r1),
+                   FaultPlan::uniform(0.25, 0, 0, 0, {}, 1));
   const auto b =
-      mp::run_spmd_faulty(PlatformId::SunEthernet, 2, ToolKind::P4,
-                          FaultPlan::uniform(0.25, 0, 0, 0, {}, 2), ordered_stream_program(30, &r2));
+      mp::run_spmd(PlatformId::SunEthernet, 2, ToolKind::P4, ordered_stream_program(30, &r2),
+                   FaultPlan::uniform(0.25, 0, 0, 0, {}, 2));
   // Both recover the same app data...
   EXPECT_EQ(r1, r2);
   // ...but the injected fault sequence (and hence timing) differs.
@@ -360,7 +374,7 @@ TEST(RngIsolation, MonteCarloUnchangedByZeroRatePlanAndByDrops) {
       co_await apps::mc::integrate_distributed(c, 120'000, 4, 99, &local);
       if (c.rank() == 0) got = local;
     };
-    mp::run_spmd_faulty(PlatformId::SunEthernet, 2, ToolKind::P4, plan, program);
+    mp::run_spmd(PlatformId::SunEthernet, 2, ToolKind::P4, program, plan);
     return got;
   };
   // Plain-wire distributed run: the bit-exact reference for RNG isolation.

@@ -405,9 +405,8 @@ TEST(Determinism, SerialAndParallelSweepsMatchOnScalePlatforms) {
 
 TEST(FaultCompose, LossyFatTreeAt256StillSumsExactly) {
   std::atomic<int> failures{0};
-  const auto out = mp::run_spmd_faulty(PlatformId::ClusterFatTree, 256, ToolKind::P4,
-                                       FaultPlan::uniform(0.05),
-                                       checked_global_sum(256, 16, failures));
+  const auto out = mp::run_spmd(PlatformId::ClusterFatTree, 256, ToolKind::P4,
+                                checked_global_sum(256, 16, failures), FaultPlan::uniform(0.05));
   EXPECT_EQ(failures.load(), 0);  // distributed result == fault-free expectation
   EXPECT_GT(out.injected.drops, 0);
   EXPECT_GT(out.transport.retransmits, 0);

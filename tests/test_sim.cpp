@@ -6,15 +6,16 @@
 #include <array>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/frame_pool.hpp"
 #include "sim/mailbox.hpp"
-#include "sim/pooled_function.hpp"
 #include "sim/resource.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulation.hpp"
@@ -186,27 +187,30 @@ TEST(FramePool, OversizeBlocksFallThroughToHeap) {
   EXPECT_EQ(pool.stats().discards, 1u);
 }
 
-TEST(PooledFunction, InvokesMovesAndReleasesItsBlock) {
+TEST(Event, FullInlineBudgetCaptureNeverTouchesTheFramePool) {
+  // A non-trivially-copyable capture the size of the mp runtime's mailbox
+  // delivery closure (a pointer, a rank and a Message) stays inline.
+  auto shared = std::make_shared<int>(7);
+  std::array<char, 24> tail{};
+  tail[0] = 5;
+  int hit = 0;
+  auto fn = [shared, tail, out = &hit] { *out = *shared + tail[0]; };
+  static_assert(sizeof(fn) == 48);
+  static_assert(!std::is_trivially_copyable_v<decltype(fn)>);
+
   auto& pool = FramePool::local();
   pool.trim();
   pool.reset_stats();
-
-  std::array<int, 8> payload{1, 2, 3, 4, 5, 6, 7, 8};
-  int sum = 0;
   {
-    PooledFunction<void(int)> f{[payload, &sum](int scale) {
-      for (int v : payload) sum += v * scale;
-    }};
-    EXPECT_TRUE(static_cast<bool>(f));
-    PooledFunction<void(int)> g{std::move(f)};
-    EXPECT_FALSE(static_cast<bool>(f));
-    g(2);
+    Event e{std::move(fn)};
+    Event moved{std::move(e)};
+    moved();
   }
-  EXPECT_EQ(sum, 72);
-  // The capture block went back to the freelist, not the heap.
-  EXPECT_EQ(pool.stats().releases, 1u);
-  EXPECT_EQ(pool.cached_blocks(), 1u);
-  pool.trim();
+  EXPECT_EQ(hit, 12);
+  EXPECT_EQ(pool.stats().hits, 0u);
+  EXPECT_EQ(pool.stats().misses, 0u);
+  EXPECT_EQ(pool.stats().releases, 0u);
+  EXPECT_EQ(shared.use_count(), 1);  // the inline copy was destroyed
 }
 
 TEST(Task, CoroutineFramesRecycleThroughTheFramePool) {

@@ -68,7 +68,7 @@ mp::RunOutcome run_and_check(PlatformId platform, ToolKind tool, AppKind app, in
       auto program = [&](mp::Communicator& c) -> sim::Task<void> {
         co_await apps::jpeg::compress_distributed(c, img, 50, c.rank() == 0 ? &got : nullptr);
       };
-      const auto out = mp::run_spmd_faulty(platform, procs, tool, plan, program);
+      const auto out = mp::run_spmd(platform, procs, tool, program, plan);
       EXPECT_EQ(got, expected);
       return out;
     }
@@ -80,7 +80,7 @@ mp::RunOutcome run_and_check(PlatformId platform, ToolKind tool, AppKind app, in
         co_await apps::fft::fft2d_distributed(c, 16, workload_seed,
                                               c.rank() == 0 ? &got : nullptr);
       };
-      const auto out = mp::run_spmd_faulty(platform, procs, tool, plan, program);
+      const auto out = mp::run_spmd(platform, procs, tool, program, plan);
       EXPECT_EQ(got.n, 16);
       EXPECT_LT(apps::fft::max_abs_diff(got, expected), 1e-9);
       return out;
@@ -93,7 +93,7 @@ mp::RunOutcome run_and_check(PlatformId platform, ToolKind tool, AppKind app, in
         co_await apps::mc::integrate_distributed(c, 60'000, 4, workload_seed, &local);
         if (c.rank() == 0) got = local;
       };
-      const auto out = mp::run_spmd_faulty(platform, procs, tool, plan, program);
+      const auto out = mp::run_spmd(platform, procs, tool, program, plan);
       EXPECT_EQ(got.samples, expected.samples);
       // Serial reduces in a different order; last-ulp tolerance as in test_apps.
       EXPECT_NEAR(got.estimate, expected.estimate, 1e-12);
@@ -106,7 +106,7 @@ mp::RunOutcome run_and_check(PlatformId platform, ToolKind tool, AppKind app, in
         co_await apps::sort::psrs_distributed(c, 12'000, workload_seed,
                                               c.rank() == 0 ? &got : nullptr);
       };
-      const auto out = mp::run_spmd_faulty(platform, procs, tool, plan, program);
+      const auto out = mp::run_spmd(platform, procs, tool, program, plan);
       EXPECT_EQ(got, expected);
       return out;
     }
@@ -195,8 +195,8 @@ TEST_P(FaultSoak, ReplayIsBitIdentical) {
 
 TEST_P(FaultSoak, ZeroFaultPlanIsByteIdenticalToPlainWire) {
   const SoakCombo combo = GetParam();
-  // app_time_s dispatches on plan.enabled(): a dead plan must reproduce
-  // the plain-wire timing to the last bit.
+  // run_spmd wires a FaultyNetwork only for an enabled plan: a dead plan
+  // must reproduce the plain-wire timing to the last bit.
   const double plain = eval::app_time_s(platform_for(combo.app), combo.tool, combo.app, 2);
   const double dead_plan =
       eval::app_time_s(platform_for(combo.app), combo.tool, combo.app, 2, {}, FaultPlan{});

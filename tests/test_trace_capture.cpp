@@ -7,11 +7,14 @@
 // placement or the analyses shows up as an exact-integer diff here.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "eval/sched_cell.hpp"
 #include "eval/trace_cell.hpp"
 #include "trace/analyze.hpp"
 #include "trace/export.hpp"
@@ -129,6 +132,35 @@ TEST(TraceCapture, SchedCellMessageIdsAreDistinctAcrossJobs) {
   }
   EXPECT_FALSE(sends.empty());
   for (const auto& [id, count] : sends) EXPECT_EQ(count, 1) << "message id " << id;
+}
+
+TEST(TraceCapture, SchedCellRecordsNameClusterNodes) {
+  // Each job runs on its own slice [base_node, base_node + ranks) of the
+  // cluster. Its mp records must name those nodes, not job-local ranks, or
+  // rank k of every job lands on one trace track.
+  eval::SchedCell cell;
+  cell.nodes = 16;
+  cell.njobs = 3;  // every job narrower than the cluster, some above node 0
+  cell.faults = pdc::fault::FaultPlan::uniform(0.05);  // transport records too
+  const auto traced = eval::run_cell_traced(eval::CellSpec::of(cell));
+  ASSERT_EQ(traced.result.status, eval::CellStatus::Ok) << traced.result.error;
+
+  std::set<int> placed;  // union of the jobs' node slices
+  for (const auto& job : eval::run_sched_cell(cell).schedule.jobs) {
+    for (int n = job.base_node; job.base_node >= 0 && n < job.base_node + job.ranks; ++n) {
+      placed.insert(n);
+    }
+  }
+  std::set<int> mp_ranks;
+  std::set<int> transport_ranks;
+  for (const auto& r : traced.records) {
+    if (trace::category(r.kind) == trace::kCatMp) mp_ranks.insert(r.rank);
+    if (trace::category(r.kind) == trace::kCatTransport) transport_ranks.insert(r.rank);
+  }
+  EXPECT_EQ(mp_ranks, placed);
+  ASSERT_FALSE(transport_ranks.empty());
+  EXPECT_TRUE(std::includes(placed.begin(), placed.end(), transport_ranks.begin(),
+                            transport_ranks.end()));
 }
 
 // -- golden cells ------------------------------------------------------------
