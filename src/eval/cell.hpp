@@ -14,9 +14,11 @@
 //
 // Canonical means: two specs encode to the same bytes iff they describe
 // the same cell, the encoding is identical across platforms (fixed-width
-// little-endian integers, IEEE-754 doubles via bit_cast), and decoding is
-// the exact inverse. Results (`CellResult`) get the same treatment so the
-// store's byte-compare IS the bit-identical-result guarantee.
+// little-endian integers, IEEE-754 doubles via bit_cast; see
+// eval/byte_codec.hpp), and decoding is the exact inverse: it accepts only
+// byte strings that re-encode to themselves. Results (`CellResult`) get
+// the same treatment so the store's byte-compare IS the
+// bit-identical-result guarantee.
 #pragma once
 
 #include <cstddef>

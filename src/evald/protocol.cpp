@@ -4,59 +4,69 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
 
+#include "eval/byte_codec.hpp"
 #include "evald/checksum.hpp"
 
 namespace pdc::evald {
 
 namespace {
 
-void put_u32(std::vector<std::byte>& buf, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf.push_back(static_cast<std::byte>(v >> (8 * i)));
-}
-void put_u64(std::vector<std::byte>& buf, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf.push_back(static_cast<std::byte>(v >> (8 * i)));
-}
-void put_bytes(std::vector<std::byte>& buf, std::span<const std::byte> bytes) {
-  put_u32(buf, static_cast<std::uint32_t>(bytes.size()));
-  buf.insert(buf.end(), bytes.begin(), bytes.end());
-}
+// -- field lists: one layout per message, called by both directions ---------
 
-// Cursor over a received payload; fails sticky on overrun.
-struct Cursor {
-  std::span<const std::byte> bytes;
-  std::size_t pos{0};
-  bool fail{false};
+constexpr auto spec_field = [](auto& io, auto& spec) {
+  io.nested(spec, eval::encode_spec, eval::decode_spec);
+};
 
-  std::uint8_t u8() {
-    if (pos >= bytes.size()) {
-      fail = true;
-      return 0;
-    }
-    return static_cast<std::uint8_t>(bytes[pos++]);
-  }
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(u8()) << (8 * i);
-    return v;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(u8()) << (8 * i);
-    return v;
-  }
-  std::span<const std::byte> blob() {
-    const std::uint32_t n = u32();
-    if (fail || bytes.size() - pos < n) {
-      fail = true;
-      return {};
-    }
-    const auto out = bytes.subspan(pos, n);
-    pos += n;
-    return out;
-  }
-  [[nodiscard]] bool done() const { return !fail && pos == bytes.size(); }
+constexpr auto lookup_fields = [](auto& io, auto& req) {
+  io.tag(MsgType::Lookup);
+  io.boolean(req.warm);
+  io.list(req.specs, 1u << 20, spec_field);
+};
+
+constexpr auto item_fields = [](auto& io, auto& item) {
+  io.enumeration(item.origin, Origin::Cache, Origin::NegativeCache);
+  io.blob(item.result);
+};
+
+constexpr auto lookup_reply_fields = [](auto& io, auto& reply) {
+  io.tag(MsgType::LookupReply);
+  io.list(reply.items, 1u << 20, item_fields);
+};
+
+constexpr auto stats_fields = [](auto& io, auto& s) {
+  io.tag(MsgType::StatsReply);
+  io.u64(s.entries);
+  io.u64(s.negative_entries);
+  io.u64(s.hits);
+  io.u64(s.negative_hits);
+  io.u64(s.misses);
+  io.u64(s.inserts);
+  io.u64(s.invalidated);
+  io.u64(s.log_bytes);
+  io.u64(s.recovered);
+  io.u64(s.requests);
+  io.u64(s.cells_served);
+  io.u64(s.cells_computed);
+  io.u64(s.connections);
+  io.u64(s.frame_errors);
+  io.u64(s.model_version);
+};
+
+constexpr auto invalidate_fields = [](auto& io, auto& req) {
+  io.tag(MsgType::Invalidate);
+  io.boolean(req.all);
+  if (!req.all) spec_field(io, req.spec);
+};
+
+constexpr auto invalidate_reply_fields = [](auto& io, auto& removed) {
+  io.tag(MsgType::InvalidateReply);
+  io.u64(removed);
+};
+
+constexpr auto error_fields = [](auto& io, auto& text) {
+  io.tag(MsgType::Error);
+  io.str(text);
 };
 
 bool write_all(int fd, const std::byte* data, std::size_t len) {
@@ -111,30 +121,24 @@ bool write_frame(int fd, std::span<const std::byte> payload) {
   // reject (or, above 4 GiB, one whose length prefix would silently
   // truncate) must never reach the wire.
   if (payload.size() > kMaxFramePayload) return false;
-  std::vector<std::byte> buf;
-  buf.reserve(payload.size() + 8);
-  put_u32(buf, static_cast<std::uint32_t>(payload.size()));
-  buf.insert(buf.end(), payload.begin(), payload.end());
-  put_u32(buf, crc32(payload));
+  const std::vector<std::byte> buf = frame(payload);
   return write_all(fd, buf.data(), buf.size());
 }
 
 FrameStatus read_frame(int fd, std::vector<std::byte>& payload) {
-  std::byte prefix[4];
-  const int head = read_all(fd, prefix, 4);
+  // The whole frame lands in `payload`, which then keeps only its body.
+  payload.resize(4);
+  const int head = read_all(fd, payload.data(), 4);
   if (head == 0) return FrameStatus::Eof;
   if (head < 0) return FrameStatus::Truncated;
   std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) len |= static_cast<std::uint32_t>(prefix[i]) << (8 * i);
+  eval::ByteReader(payload).u32(len);
   if (len > kMaxFramePayload) return FrameStatus::TooLong;
-
-  payload.assign(len, std::byte{0});
-  if (len > 0 && read_all(fd, payload.data(), len) != 1) return FrameStatus::Truncated;
-  std::byte trailer[4];
-  if (read_all(fd, trailer, 4) != 1) return FrameStatus::Truncated;
-  std::uint32_t crc = 0;
-  for (int i = 0; i < 4; ++i) crc |= static_cast<std::uint32_t>(trailer[i]) << (8 * i);
-  if (crc != crc32({payload.data(), payload.size()})) return FrameStatus::BadCrc;
+  payload.resize(len + kFrameOverhead);
+  if (read_all(fd, payload.data() + 4, len + 4) != 1) return FrameStatus::Truncated;
+  if (!unframe(payload, kMaxFramePayload)) return FrameStatus::BadCrc;
+  payload.erase(payload.begin(), payload.begin() + 4);
+  payload.resize(len);
   return FrameStatus::Ok;
 }
 
@@ -144,170 +148,50 @@ std::vector<std::byte> encode_ping() {
 std::vector<std::byte> encode_pong() {
   return {static_cast<std::byte>(MsgType::Pong)};
 }
-
-std::vector<std::byte> encode_lookup(const LookupRequest& req) {
-  std::vector<std::byte> buf;
-  buf.push_back(static_cast<std::byte>(MsgType::Lookup));
-  buf.push_back(static_cast<std::byte>(req.warm ? 1 : 0));
-  put_u32(buf, static_cast<std::uint32_t>(req.specs.size()));
-  for (const eval::CellSpec& spec : req.specs) put_bytes(buf, eval::encode_spec(spec));
-  return buf;
-}
-
-std::optional<LookupRequest> decode_lookup(std::span<const std::byte> payload) {
-  Cursor c{payload};
-  if (c.u8() != static_cast<std::uint8_t>(MsgType::Lookup)) return std::nullopt;
-  LookupRequest req;
-  req.warm = c.u8() != 0;
-  const std::uint32_t count = c.u32();
-  if (c.fail || count > (1u << 20)) return std::nullopt;
-  req.specs.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const auto blob = c.blob();
-    if (c.fail) return std::nullopt;
-    auto spec = eval::decode_spec(blob);
-    if (!spec) return std::nullopt;
-    req.specs.push_back(std::move(*spec));
-  }
-  if (!c.done()) return std::nullopt;
-  return req;
-}
-
-std::vector<std::byte> encode_lookup_reply(const LookupReply& reply) {
-  std::vector<std::byte> buf;
-  buf.push_back(static_cast<std::byte>(MsgType::LookupReply));
-  put_u32(buf, static_cast<std::uint32_t>(reply.items.size()));
-  for (const LookupReply::Item& item : reply.items) {
-    buf.push_back(static_cast<std::byte>(item.origin));
-    put_bytes(buf, item.result);
-  }
-  return buf;
-}
-
-std::optional<LookupReply> decode_lookup_reply(std::span<const std::byte> payload) {
-  Cursor c{payload};
-  if (c.u8() != static_cast<std::uint8_t>(MsgType::LookupReply)) return std::nullopt;
-  LookupReply reply;
-  const std::uint32_t count = c.u32();
-  if (c.fail || count > (1u << 20)) return std::nullopt;
-  reply.items.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    LookupReply::Item item;
-    const std::uint8_t origin = c.u8();
-    if (origin > 2) return std::nullopt;
-    item.origin = static_cast<Origin>(origin);
-    const auto blob = c.blob();
-    if (c.fail) return std::nullopt;
-    item.result.assign(blob.begin(), blob.end());
-    reply.items.push_back(std::move(item));
-  }
-  if (!c.done()) return std::nullopt;
-  return reply;
-}
-
 std::vector<std::byte> encode_stats_request() {
   return {static_cast<std::byte>(MsgType::Stats)};
 }
 
-std::vector<std::byte> encode_stats_reply(const DaemonStats& stats) {
-  std::vector<std::byte> buf;
-  buf.push_back(static_cast<std::byte>(MsgType::StatsReply));
-  put_u64(buf, stats.entries);
-  put_u64(buf, stats.negative_entries);
-  put_u64(buf, stats.hits);
-  put_u64(buf, stats.negative_hits);
-  put_u64(buf, stats.misses);
-  put_u64(buf, stats.inserts);
-  put_u64(buf, stats.invalidated);
-  put_u64(buf, stats.log_bytes);
-  put_u64(buf, stats.recovered);
-  put_u64(buf, stats.requests);
-  put_u64(buf, stats.cells_served);
-  put_u64(buf, stats.cells_computed);
-  put_u64(buf, stats.connections);
-  put_u64(buf, stats.frame_errors);
-  put_u64(buf, stats.model_version);
-  return buf;
+std::vector<std::byte> encode_lookup(const LookupRequest& req) {
+  return eval::encode_with(req, lookup_fields);
+}
+std::optional<LookupRequest> decode_lookup(std::span<const std::byte> payload) {
+  return eval::decode_with<LookupRequest>(payload, lookup_fields);
 }
 
+std::vector<std::byte> encode_lookup_reply(const LookupReply& reply) {
+  return eval::encode_with(reply, lookup_reply_fields);
+}
+std::optional<LookupReply> decode_lookup_reply(std::span<const std::byte> payload) {
+  return eval::decode_with<LookupReply>(payload, lookup_reply_fields);
+}
+
+std::vector<std::byte> encode_stats_reply(const DaemonStats& stats) {
+  return eval::encode_with(stats, stats_fields);
+}
 std::optional<DaemonStats> decode_stats_reply(std::span<const std::byte> payload) {
-  Cursor c{payload};
-  if (c.u8() != static_cast<std::uint8_t>(MsgType::StatsReply)) return std::nullopt;
-  DaemonStats s;
-  s.entries = c.u64();
-  s.negative_entries = c.u64();
-  s.hits = c.u64();
-  s.negative_hits = c.u64();
-  s.misses = c.u64();
-  s.inserts = c.u64();
-  s.invalidated = c.u64();
-  s.log_bytes = c.u64();
-  s.recovered = c.u64();
-  s.requests = c.u64();
-  s.cells_served = c.u64();
-  s.cells_computed = c.u64();
-  s.connections = c.u64();
-  s.frame_errors = c.u64();
-  s.model_version = c.u64();
-  if (!c.done()) return std::nullopt;
-  return s;
+  return eval::decode_with<DaemonStats>(payload, stats_fields);
 }
 
 std::vector<std::byte> encode_invalidate(const InvalidateRequest& req) {
-  std::vector<std::byte> buf;
-  buf.push_back(static_cast<std::byte>(MsgType::Invalidate));
-  buf.push_back(static_cast<std::byte>(req.all ? 1 : 0));
-  if (!req.all) put_bytes(buf, eval::encode_spec(req.spec));
-  return buf;
+  return eval::encode_with(req, invalidate_fields);
 }
-
 std::optional<InvalidateRequest> decode_invalidate(std::span<const std::byte> payload) {
-  Cursor c{payload};
-  if (c.u8() != static_cast<std::uint8_t>(MsgType::Invalidate)) return std::nullopt;
-  InvalidateRequest req;
-  req.all = c.u8() != 0;
-  if (!req.all) {
-    const auto blob = c.blob();
-    if (c.fail) return std::nullopt;
-    auto spec = eval::decode_spec(blob);
-    if (!spec) return std::nullopt;
-    req.spec = std::move(*spec);
-  }
-  if (!c.done()) return std::nullopt;
-  return req;
+  return eval::decode_with<InvalidateRequest>(payload, invalidate_fields);
 }
 
 std::vector<std::byte> encode_invalidate_reply(std::uint64_t removed) {
-  std::vector<std::byte> buf;
-  buf.push_back(static_cast<std::byte>(MsgType::InvalidateReply));
-  put_u64(buf, removed);
-  return buf;
+  return eval::encode_with(removed, invalidate_reply_fields);
 }
-
 std::optional<std::uint64_t> decode_invalidate_reply(std::span<const std::byte> payload) {
-  Cursor c{payload};
-  if (c.u8() != static_cast<std::uint8_t>(MsgType::InvalidateReply)) return std::nullopt;
-  const std::uint64_t removed = c.u64();
-  if (!c.done()) return std::nullopt;
-  return removed;
+  return eval::decode_with<std::uint64_t>(payload, invalidate_reply_fields);
 }
 
 std::vector<std::byte> encode_error(const std::string& text) {
-  std::vector<std::byte> buf;
-  buf.push_back(static_cast<std::byte>(MsgType::Error));
-  put_u32(buf, static_cast<std::uint32_t>(text.size()));
-  for (char ch : text) buf.push_back(static_cast<std::byte>(ch));
-  return buf;
+  return eval::encode_with(text, error_fields);
 }
-
 std::optional<std::string> decode_error(std::span<const std::byte> payload) {
-  Cursor c{payload};
-  if (c.u8() != static_cast<std::uint8_t>(MsgType::Error)) return std::nullopt;
-  const auto blob = c.blob();
-  if (c.fail || !c.done()) return std::nullopt;
-  std::string text(blob.size(), '\0');
-  if (!blob.empty()) std::memcpy(text.data(), blob.data(), blob.size());
-  return text;
+  return eval::decode_with<std::string>(payload, error_fields);
 }
 
 std::optional<MsgType> peek_type(std::span<const std::byte> payload) {

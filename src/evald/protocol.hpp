@@ -4,15 +4,18 @@
 //
 //   u32 payload_len (LE) | payload bytes | u32 crc32(payload) (LE)
 //
-// with the CRC32 of evald/checksum.hpp, so a flipped bit anywhere in the
+// built and checked by evald/checksum.hpp's frame/unframe (the store log
+// frames its records the same way), so a flipped bit anywhere in the
 // payload is rejected. A reader that sees an oversized length prefix,
 // a truncated frame or a CRC mismatch stops trusting the stream and
 // closes the connection -- there is no resynchronisation, reconnecting is
 // the recovery path (tests pin zero-length payloads, the maximum length
 // prefix, truncation and corruption).
 //
-// Payload layout: u8 message type, then the type's body, encoded with the
-// same fixed-width little-endian primitives as the cell codec.
+// Payload layout: u8 message type, then the type's body, written and read
+// by the one byte codec (eval/byte_codec.hpp) that the cell codec uses.
+// Decoders reject truncation, trailing bytes, out-of-range enums, counts
+// above their caps and bool bytes other than 0 or 1.
 #pragma once
 
 #include <cstddef>

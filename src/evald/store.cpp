@@ -5,10 +5,10 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
+#include "eval/byte_codec.hpp"
 #include "evald/checksum.hpp"
 
 namespace pdc::evald {
@@ -17,32 +17,45 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x45434450u;  // "PDCE" little-endian
 constexpr std::uint32_t kFormat = 1;
-constexpr std::size_t kHeaderBytes = 16;  // magic u32 | format u32 | version u64
+constexpr std::size_t kHeaderBytes = 16;
 
 constexpr std::uint8_t kRecEntry = 1;
 constexpr std::uint8_t kRecNegative = 2;
 constexpr std::uint8_t kRecTombstone = 3;
 
-// Record payload header: kind u8 | key u64 | spec_len u32 | result_len u32.
-constexpr std::size_t kRecHeader = 1 + 8 + 4 + 4;
 constexpr std::uint32_t kMaxRecordPayload = 64u << 20;
 
-void put_u32(std::byte* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::byte>(v >> (8 * i));
-}
-void put_u64(std::byte* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::byte>(v >> (8 * i));
-}
-std::uint32_t get_u32(const std::byte* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-std::uint64_t get_u64(const std::byte* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
+struct LogHeader {
+  std::uint32_t magic{0};
+  std::uint32_t format{0};
+  std::uint64_t version{0};
+};
+
+constexpr auto header_fields = [](auto& io, auto& h) {
+  io.u32(h.magic);
+  io.u32(h.format);
+  io.u64(h.version);
+};
+
+/// One log record: the payload of one frame. Decoded records view the
+/// mapped log; nothing is copied until the index takes the bytes.
+struct LogRecord {
+  std::uint8_t kind{0};
+  std::uint64_t key{0};
+  std::span<const std::byte> spec;
+  std::span<const std::byte> result;
+};
+
+constexpr auto record_fields = [](auto& io, auto& rec) {
+  auto spec_len = static_cast<std::uint32_t>(rec.spec.size());
+  auto result_len = static_cast<std::uint32_t>(rec.result.size());
+  io.u8(rec.kind);
+  io.u64(rec.key);
+  io.u32(spec_len);
+  io.u32(result_len);
+  io.raw(rec.spec, spec_len);
+  io.raw(rec.result, result_len);
+};
 
 bool write_all(int fd, const std::byte* data, std::size_t len) {
   while (len > 0) {
@@ -74,11 +87,9 @@ void Store::reset_log_locked() {
   if (::ftruncate(fd_, 0) != 0 || ::lseek(fd_, 0, SEEK_SET) != 0) {
     throw std::runtime_error("evald::Store: cannot reset " + path_);
   }
-  std::byte header[kHeaderBytes];
-  put_u32(header, kMagic);
-  put_u32(header + 4, kFormat);
-  put_u64(header + 8, model_version_);
-  if (!write_all(fd_, header, kHeaderBytes)) {
+  const auto header =
+      eval::encode_with(LogHeader{kMagic, kFormat, model_version_}, header_fields);
+  if (!write_all(fd_, header.data(), header.size())) {
     throw std::runtime_error("evald::Store: cannot write header to " + path_);
   }
   log_bytes_ = kHeaderBytes;
@@ -95,42 +106,30 @@ void Store::load_log_locked() {
 
   void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd_, 0);
   if (map == MAP_FAILED) throw std::runtime_error("evald::Store: mmap failed");
-  const auto* base = static_cast<const std::byte*>(map);
+  const std::span<const std::byte> log(static_cast<const std::byte*>(map), size);
 
-  const bool header_ok = get_u32(base) == kMagic && get_u32(base + 4) == kFormat;
-  const bool version_ok = header_ok && get_u64(base + 8) == model_version_;
+  const auto header = eval::decode_with<LogHeader>(log.first(kHeaderBytes), header_fields);
+  const bool header_ok = header && header->magic == kMagic && header->format == kFormat;
+  const bool version_ok = header_ok && header->version == model_version_;
 
   // Replay every intact record; stop at the first torn or corrupt one (a
   // crashed writer leaves at most a broken tail) and truncate it away.
-  std::size_t pos = kHeaderBytes;
   std::size_t valid_end = kHeaderBytes;
   std::uint64_t replayed = 0;
-  while (header_ok && pos + 4 <= size) {
-    const std::uint32_t payload_len = get_u32(base + pos);
-    if (payload_len < kRecHeader || payload_len > kMaxRecordPayload) break;
-    if (pos + 4 + payload_len + 4 > size) break;  // torn tail
-    const std::byte* payload = base + pos + 4;
-    const std::uint32_t stored_crc = get_u32(payload + payload_len);
-    if (crc32({payload, payload_len}) != stored_crc) break;
-
-    const std::uint8_t kind = static_cast<std::uint8_t>(payload[0]);
-    const std::uint64_t key = get_u64(payload + 1);
-    const std::uint32_t spec_len = get_u32(payload + 9);
-    const std::uint32_t result_len = get_u32(payload + 13);
-    if (kRecHeader + static_cast<std::uint64_t>(spec_len) + result_len != payload_len) break;
-    const std::byte* spec = payload + kRecHeader;
-    const std::byte* result = spec + spec_len;
-
-    pos += 4 + payload_len + 4;
-    valid_end = pos;
+  while (header_ok) {
+    const auto payload = unframe(log.subspan(valid_end), kMaxRecordPayload);
+    if (!payload) break;
+    const auto rec = eval::decode_with<LogRecord>(*payload, record_fields);
+    if (!rec) break;
+    valid_end += payload->size() + kFrameOverhead;
     ++replayed;
     if (!version_ok) continue;  // stale store: count and discard below
 
-    if (kind == kRecEntry || kind == kRecNegative) {
-      insert_locked(key, {spec, spec_len}, {result, result_len}, kind == kRecNegative,
+    if (rec->kind == kRecEntry || rec->kind == kRecNegative) {
+      insert_locked(rec->key, rec->spec, rec->result, rec->kind == kRecNegative,
                     /*persist=*/false);
-    } else if (kind == kRecTombstone) {
-      erase_locked(key, {spec, spec_len}, /*persist=*/false);
+    } else if (rec->kind == kRecTombstone) {
+      erase_locked(rec->key, rec->spec, /*persist=*/false);
     }
   }
   ::munmap(map, size);
@@ -157,18 +156,8 @@ void Store::append_record_locked(std::uint8_t kind, std::uint64_t key,
                                  std::span<const std::byte> spec,
                                  std::span<const std::byte> result) {
   if (fd_ < 0) return;
-  const std::uint32_t payload_len =
-      static_cast<std::uint32_t>(kRecHeader + spec.size() + result.size());
-  std::vector<std::byte> buf(4 + payload_len + 4);
-  put_u32(buf.data(), payload_len);
-  std::byte* p = buf.data() + 4;
-  p[0] = static_cast<std::byte>(kind);
-  put_u64(p + 1, key);
-  put_u32(p + 9, static_cast<std::uint32_t>(spec.size()));
-  put_u32(p + 13, static_cast<std::uint32_t>(result.size()));
-  std::memcpy(p + kRecHeader, spec.data(), spec.size());
-  if (!result.empty()) std::memcpy(p + kRecHeader + spec.size(), result.data(), result.size());
-  put_u32(p + payload_len, crc32({p, payload_len}));
+  const std::vector<std::byte> buf =
+      frame(eval::encode_with(LogRecord{kind, key, spec, result}, record_fields));
   if (!write_all(fd_, buf.data(), buf.size())) {
     // A partial write (e.g. ENOSPC mid-record) leaves a torn record at the
     // tail; truncate back to the last good boundary so later appends stay

@@ -9,10 +9,15 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <iterator>
+#include <optional>
+#include <random>
 #include <span>
 #include <string>
 #include <thread>
@@ -21,6 +26,7 @@
 #include "eval/cell.hpp"
 #include "evald/checksum.hpp"
 #include "evald/client.hpp"
+#include "evald/protocol.hpp"
 #include "evald/server.hpp"
 #include "evald/store.hpp"
 #include "fault/plan.hpp"
@@ -81,6 +87,17 @@ SchedCell infeasible_sched_cell() {
   c.platform = host::PlatformId::ClusterFlat;
   c.nodes = 0;
   c.njobs = 4;
+  return c;
+}
+
+/// A cheap Tpl cell the store fixture inserts and then tombstones.
+TplCell tombstoned_tpl_cell() {
+  TplCell c;
+  c.tool = mp::ToolKind::Express;
+  c.platform = host::PlatformId::Sp1Switch;
+  c.primitive = eval::Primitive::Broadcast;
+  c.bytes = 512;
+  c.procs = 4;
   return c;
 }
 
@@ -154,6 +171,170 @@ TEST(CellCodec, KeyIsStableAndVersionSensitive) {
   other_cell.bytes += 1;
   const auto other = eval::encode_spec(CellSpec::of(other_cell));
   EXPECT_NE(eval::cell_key(bytes), eval::cell_key(other));
+}
+
+TEST(CellCodec, BoolBytesOtherThanZeroOrOneAreRejected) {
+  // Decode must be the inverse of encode: a bool byte of 2 read as true
+  // would re-encode as 1, and key the same cell under a different address.
+  auto sched = small_sched_cell();
+  sched.policy.backfill = true;
+  auto spec = eval::encode_spec(CellSpec::of(sched));
+  LookupRequest lookup;
+  lookup.specs = {CellSpec::of(sched)};
+  auto lookup_bytes = encode_lookup(lookup);
+  auto invalidate_bytes = encode_invalidate(InvalidateRequest{});
+  ASSERT_TRUE(eval::decode_spec(spec).has_value());
+  ASSERT_TRUE(decode_lookup(lookup_bytes).has_value());
+  ASSERT_TRUE(decode_invalidate(invalidate_bytes).has_value());
+
+  // Sched layout: type, platform, nodes i32, rate f64, njobs i32, users
+  // i32, seed u64, then the backfill byte.
+  const std::size_t backfill_at = 1 + 1 + 4 + 8 + 4 + 4 + 8;
+  ASSERT_EQ(spec[backfill_at], std::byte{1});
+  spec[backfill_at] = std::byte{2};
+  EXPECT_FALSE(eval::decode_spec(spec).has_value());
+  lookup_bytes[1] = std::byte{7};  // warm, after the type byte
+  EXPECT_FALSE(decode_lookup(lookup_bytes).has_value());
+  invalidate_bytes[1] = std::byte{2};  // all
+  EXPECT_FALSE(decode_invalidate(invalidate_bytes).has_value());
+}
+
+// -- seeded mutation of every decoder ----------------------------------------
+//
+// Valid encodings of every spec kind, result kind and protocol message are
+// mutated (bit flips, byte overwrites, truncations, insertions and inflated
+// length or count prefixes) with a fixed seed and a fixed budget. No
+// decoder may throw or read out of bounds (the sanitizer build checks the
+// latter), and every accepted input must re-encode to exactly its own
+// bytes: one canonical byte string per value.
+
+using Bytes = std::vector<std::byte>;
+
+struct CodecCase {
+  const char* name;
+  Bytes bytes;
+  /// Decode, then re-encode; nullopt when the decoder rejects.
+  std::function<std::optional<Bytes>(std::span<const std::byte>)> round_trip;
+};
+
+template <class Decode, class Encode>
+auto round_trip(Decode decode, Encode encode) {
+  return [decode, encode](std::span<const std::byte> in) -> std::optional<Bytes> {
+    auto v = decode(in);
+    if (!v) return std::nullopt;
+    return encode(*v);
+  };
+}
+
+std::vector<CodecCase> codec_corpus() {
+  const auto spec_rt = round_trip(eval::decode_spec, eval::encode_spec);
+  const auto result_rt = round_trip(eval::decode_result, eval::encode_result);
+
+  auto rich_tpl = faulted_tpl_cell();
+  rich_tpl.faults.overrides.push_back({0, 1, fault::LinkFaults{0.5, 0.0, 0.25, 0.0, {}}});
+  rich_tpl.faults.flaps.push_back({1, -1, sim::TimePoint{100}, sim::TimePoint{9000}});
+  auto no_backfill = small_sched_cell();
+  no_backfill.policy.backfill = false;
+  const std::vector<CellSpec> specs{CellSpec::of(rich_tpl), CellSpec::of(small_app_cell()),
+                                    CellSpec::of(small_sched_cell()),
+                                    CellSpec::of(no_backfill)};
+
+  CellResult app;
+  app.type = CellType::App;
+  app.app_s = 1.25;
+  CellResult unsupported;
+  unsupported.status = CellStatus::Unsupported;
+  const std::vector<CellResult> results{eval::run_cell(CellSpec::of(faulted_tpl_cell())), app,
+                                        eval::run_cell(CellSpec::of(small_sched_cell())),
+                                        eval::run_cell(CellSpec::of(infeasible_sched_cell())),
+                                        unsupported};
+
+  std::vector<CodecCase> corpus;
+  for (const CellSpec& s : specs) corpus.push_back({"spec", eval::encode_spec(s), spec_rt});
+  for (const CellResult& r : results) {
+    corpus.push_back({"result", eval::encode_result(r), result_rt});
+  }
+
+  corpus.push_back({"lookup", encode_lookup({false, specs}),
+                    round_trip(decode_lookup, encode_lookup)});
+  corpus.push_back({"lookup", encode_lookup({true, {specs[2]}}),
+                    round_trip(decode_lookup, encode_lookup)});
+  LookupReply reply;
+  reply.items.push_back({Origin::Computed, eval::encode_result(results[0])});
+  reply.items.push_back({Origin::NegativeCache, eval::encode_result(results[3])});
+  reply.items.push_back({Origin::Cache, {}});
+  corpus.push_back({"lookup_reply", encode_lookup_reply(reply),
+                    round_trip(decode_lookup_reply, encode_lookup_reply)});
+  DaemonStats stats;
+  stats.entries = 3;
+  stats.hits = 1ull << 40;
+  stats.model_version = eval::kModelVersion;
+  corpus.push_back({"stats_reply", encode_stats_reply(stats),
+                    round_trip(decode_stats_reply, encode_stats_reply)});
+  corpus.push_back({"invalidate", encode_invalidate({true, {}}),
+                    round_trip(decode_invalidate, encode_invalidate)});
+  corpus.push_back({"invalidate", encode_invalidate({false, specs[0]}),
+                    round_trip(decode_invalidate, encode_invalidate)});
+  corpus.push_back({"invalidate_reply", encode_invalidate_reply(42),
+                    round_trip(decode_invalidate_reply, encode_invalidate_reply)});
+  corpus.push_back({"error", encode_error("malformed lookup"),
+                    round_trip(decode_error, encode_error)});
+  return corpus;
+}
+
+Bytes mutate(const Bytes& in, std::mt19937_64& rng) {
+  Bytes out = in;
+  const auto pick = [&rng](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+  switch (pick(6)) {
+    case 0:  // flip one bit
+      out[pick(out.size())] ^= std::byte{static_cast<unsigned char>(1u << pick(8))};
+      break;
+    case 1:  // overwrite a byte: often small, to land on enum and bool values
+      out[pick(out.size())] =
+          std::byte{static_cast<unsigned char>(rng() % 2 ? pick(4) : pick(256))};
+      break;
+    case 2:  // truncate
+      out.resize(pick(out.size()));
+      break;
+    case 3:  // insert a byte
+      out.insert(out.begin() + static_cast<std::ptrdiff_t>(pick(out.size() + 1)),
+                 std::byte{static_cast<unsigned char>(pick(256))});
+      break;
+    default: {  // inflate a u32 length or count prefix somewhere
+      if (out.size() < 4) break;
+      const std::size_t at = pick(out.size() - 3);
+      const std::uint32_t big[] = {0xFFFFFFFFu, (1u << 20) + 1, (1u << 24) + 1,
+                                   static_cast<std::uint32_t>(out.size() - at)};
+      const std::uint32_t v = big[pick(std::size(big))];
+      for (int i = 0; i < 4; ++i) out[at + i] = static_cast<std::byte>(v >> (8 * i));
+      break;
+    }
+  }
+  return out;
+}
+
+TEST(CodecMutation, DecodersNeverThrowAndAcceptOnlyCanonicalBytes) {
+  const std::vector<CodecCase> corpus = codec_corpus();
+  for (const CodecCase& c : corpus) {
+    const auto back = c.round_trip(c.bytes);
+    ASSERT_TRUE(back.has_value()) << c.name;
+    ASSERT_EQ(*back, c.bytes) << c.name;
+  }
+  std::mt19937_64 rng(0x5EEDC0DEull);
+  constexpr int kCases = 4000;
+  int accepted = 0;
+  for (int i = 0; i < kCases; ++i) {
+    const CodecCase& c = corpus[static_cast<std::size_t>(i) % corpus.size()];
+    const Bytes input = mutate(c.bytes, rng);
+    std::optional<Bytes> back;
+    ASSERT_NO_THROW(back = c.round_trip(input)) << c.name << " case " << i;
+    if (!back) continue;
+    ++accepted;
+    ASSERT_EQ(*back, input) << c.name << " case " << i << " decoded a non-canonical input";
+  }
+  // The mutations must exercise both verdicts.
+  EXPECT_GT(accepted, kCases / 10);
+  EXPECT_LT(accepted, kCases * 9 / 10);
 }
 
 // -- store ------------------------------------------------------------------
@@ -309,6 +490,107 @@ TEST(Store, TornTailIsTruncatedOnRecovery) {
     // ...and the repaired log replays all three.
     Store store(path, 9);
     EXPECT_EQ(store.stats().recovered, 3u);
+  }
+  ::unlink(path.c_str());
+}
+
+// -- a store log written by an earlier build ---------------------------------
+//
+// tests/data/store_model9.pdce was written at kModelVersion 9 by the build
+// before the codec moved onto eval/byte_codec.hpp, the way the daemon
+// writes it (key = cell_key(encode_spec(spec)), negative = Status::Error):
+// five inserts in fixture_specs() order, then a tombstone for the last
+// one. A model-version bump regenerates it.
+
+std::vector<CellSpec> fixture_specs() {
+  return {CellSpec::of(faulted_tpl_cell()), CellSpec::of(small_app_cell()),
+          CellSpec::of(small_sched_cell()), CellSpec::of(infeasible_sched_cell()),
+          CellSpec::of(tombstoned_tpl_cell())};
+}
+
+std::vector<std::byte> read_file(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  const std::string s((std::istreambuf_iterator<char>(f)), std::istreambuf_iterator<char>());
+  return as_bytes(s);
+}
+
+void write_file(const std::string& path, std::span<const std::byte> bytes) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f.write(reinterpret_cast<const char*>(bytes.data()), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(Store, ModelNineFixtureReplaysByteEqualAndSurvivesEveryTruncation) {
+  ASSERT_EQ(eval::kModelVersion, 9u) << "regenerate tests/data/store_model9.pdce";
+  const std::vector<std::byte> log = read_file(PDC_TEST_DATA_DIR "/store_model9.pdce");
+  ASSERT_FALSE(log.empty());
+
+  const std::vector<CellSpec> specs = fixture_specs();
+  std::vector<std::vector<std::byte>> spec_bytes, fresh;
+  for (const CellSpec& s : specs) {
+    spec_bytes.push_back(eval::encode_spec(s));
+    fresh.push_back(eval::encode_result(eval::run_cell(s)));
+  }
+
+  // Record ends: a 16-byte header, then per record u32 len | kind u8 |
+  // key u64 | spec_len u32 | result_len u32 | spec | result | u32 crc.
+  std::vector<std::size_t> ends;
+  std::size_t end = 16;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    end += 4 + 17 + spec_bytes[i].size() + fresh[i].size() + 4;
+    ends.push_back(end);
+  }
+  end += 4 + 17 + spec_bytes.back().size() + 4;  // the tombstone
+  ends.push_back(end);
+  ASSERT_EQ(ends.back(), log.size());
+
+  const std::string path = scratch_path("fixture");
+  // Which specs a replay of the first `records` records serves.
+  const auto live_after = [&](std::size_t records) {
+    std::vector<bool> live(specs.size(), false);
+    for (std::size_t r = 0; r < std::min(records, specs.size()); ++r) live[r] = true;
+    if (records > specs.size()) live.back() = false;  // the tombstone
+    return live;
+  };
+  const auto expect_serves = [&](const Store& store, const std::vector<bool>& live,
+                                 std::size_t cut) {
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const auto hit = store.lookup(eval::cell_key(spec_bytes[i]), spec_bytes[i]);
+      ASSERT_EQ(hit.has_value(), live[i]) << "cut " << cut << " spec " << i;
+      if (!hit) continue;
+      EXPECT_EQ(hit->result, fresh[i]) << "cut " << cut << " spec " << i;
+      EXPECT_EQ(hit->negative, i == 3) << "cut " << cut;  // the infeasible cell
+    }
+  };
+
+  {
+    write_file(path, log);
+    const Store store(path, eval::kModelVersion);
+    EXPECT_EQ(store.stats().recovered, 4u);
+    EXPECT_EQ(store.stats().discarded_stale, 0u);
+    EXPECT_EQ(store.stats().log_bytes, log.size());
+    expect_serves(store, live_after(ends.size()), log.size());
+  }
+
+  // A crash can cut the log at any byte. Replay keeps exactly the complete
+  // records before the cut, and the repaired log takes later appends.
+  const auto later = as_bytes("appended-after-the-cut");
+  for (std::size_t cut = 0; cut <= log.size(); ++cut) {
+    write_file(path, {log.data(), cut});
+    std::size_t records = 0;
+    while (records < ends.size() && ends[records] <= cut) ++records;
+    const std::vector<bool> live = live_after(records);
+    const auto live_count = static_cast<std::uint64_t>(std::count(live.begin(), live.end(), true));
+    {
+      Store store(path, eval::kModelVersion);
+      ASSERT_EQ(store.stats().recovered, live_count) << "cut " << cut;
+      ASSERT_EQ(store.stats().log_bytes, records == 0 ? 16u : ends[records - 1]) << "cut " << cut;
+      expect_serves(store, live, cut);
+      store.insert(eval::cell_key(later), later, later, false);
+    }
+    const Store reopened(path, eval::kModelVersion);
+    ASSERT_EQ(reopened.stats().recovered, live_count + 1) << "cut " << cut;
+    ASSERT_TRUE(reopened.lookup(eval::cell_key(later), later).has_value()) << "cut " << cut;
+    if (HasFatalFailure()) break;
   }
   ::unlink(path.c_str());
 }

@@ -19,10 +19,8 @@
 #include "sim/resource.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulation.hpp"
-#include "sim/stats.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
-#include "sim/timer.hpp"
 
 namespace pdc::sim {
 namespace {
@@ -435,17 +433,6 @@ TEST(Rng, UniformCoversRangeRoughly) {
   for (int h : hits) EXPECT_GT(h, 800);
 }
 
-TEST(RunningStats, WelfordMatchesClosedForm) {
-  RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
 // ---------- satellite: mailbox edge cases -----------------------------------
 
 /// A miniature message envelope for wildcard-matching tests: the same shape
@@ -556,81 +543,38 @@ TEST(MailboxEdge, NonMatchingPushQueuesPastBlockedWaiter) {
   EXPECT_EQ(sweeper, 111);
 }
 
-// ---------- satellite: one-shot cancellable timer ---------------------------
-
-TEST(Timer, ArmFiresAtDeadline) {
-  Simulation sim;
-  Timer timer(sim);
-  TimePoint fired{};
-  sim.spawn([](Simulation& s, Timer& t, TimePoint& fired) -> Task<> {
-    t.arm(s.now() + milliseconds(5), [&s, &fired] { fired = s.now(); });
-    EXPECT_TRUE(t.armed());
-    co_return;
-  }(sim, timer, fired));
-  sim.run();
-  EXPECT_EQ(fired, TimePoint::origin() + milliseconds(5));
-  EXPECT_FALSE(timer.armed());
-}
+// ---------- timers: schedule_at events ------------------------------------
+//
+// A timer is a schedule_at event; the reliable transport's retransmission
+// timer is one, cancelled by a generation count the event checks when it
+// pops. The trace subsystem records events in dispatch order, so dispatch
+// order at equal timestamps must itself be pinned: the queue breaks time
+// ties by FIFO sequence number, independent of heap internals.
 
 TEST(Timer, CancelSuppressesCallbackButHoldsClock) {
   Simulation sim;
-  Timer timer(sim);
+  std::uint64_t generation = 0;
   bool fired = false;
-  sim.spawn([](Simulation& s, Timer& t, bool& fired) -> Task<> {
-    t.arm(s.now() + milliseconds(10), [&fired] { fired = true; });
+  sim.schedule_at(TimePoint::origin() + milliseconds(10), [&generation, &fired, want = generation] {
+    if (generation == want) fired = true;
+  });
+  sim.spawn([](Simulation& s, std::uint64_t& generation) -> Task<> {
     co_await s.delay(milliseconds(1));
-    t.cancel();
-    EXPECT_FALSE(t.armed());
-  }(sim, timer, fired));
-  // Documented cost of cancel(): the queued no-op still pops, so the run
-  // ends at the timer's original deadline.
+    ++generation;  // cancel
+  }(sim, generation));
+  // The cancelled event is a no-op but still pops, so the run ends at the
+  // timer's original deadline.
   EXPECT_EQ(sim.run(), TimePoint::origin() + milliseconds(10));
   EXPECT_FALSE(fired);
 }
 
-TEST(Timer, RearmSupersedesEarlierDeadline) {
-  Simulation sim;
-  Timer timer(sim);
-  std::vector<int> fired;
-  sim.spawn([](Simulation& s, Timer& t, std::vector<int>& fired) -> Task<> {
-    t.arm(s.now() + milliseconds(3), [&fired] { fired.push_back(1); });
-    co_await s.delay(milliseconds(1));
-    t.arm(s.now() + milliseconds(7), [&fired] { fired.push_back(2); });  // replaces #1
-    co_return;
-  }(sim, timer, fired));
-  sim.run();
-  EXPECT_EQ(fired, (std::vector<int>{2}));
-}
-
-TEST(Timer, StateOutlivesTimerObject) {
-  // Destroying the Timer after cancel() must leave the in-flight event
-  // harmless (the shared state keeps the generation check alive).
-  Simulation sim;
-  bool fired = false;
-  {
-    Timer timer(sim);
-    timer.arm(TimePoint::origin() + milliseconds(4), [&fired] { fired = true; });
-    timer.cancel();
-  }
-  sim.run();
-  EXPECT_FALSE(fired);
-}
-
-// ---------- identical-timestamp ordering audit ------------------------------
-//
-// The trace subsystem records events in dispatch order, so dispatch order at
-// equal timestamps must itself be pinned: the queue breaks time ties by FIFO
-// sequence number, independent of heap internals. These regressions fix that
-// contract for the two producers the probes ride on (timers and delays).
-
 TEST(Timer, SameDeadlineTimersFireInArmOrder) {
   Simulation sim;
-  Timer a(sim), b(sim), c(sim);
   std::vector<int> fired;
   const TimePoint deadline = TimePoint::origin() + milliseconds(2);
-  a.arm(deadline, [&fired] { fired.push_back(1); });
-  b.arm(deadline, [&fired] { fired.push_back(2); });
-  c.arm(deadline, [&fired] { fired.push_back(3); });
+  sim.schedule_at(deadline, [&fired] { fired.push_back(1); });
+  sim.schedule_at(deadline, [&fired] { fired.push_back(2); });
+  sim.schedule_at(deadline, [&fired] { fired.push_back(3); });
   sim.run();
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
@@ -639,34 +583,17 @@ TEST(Timer, SameDeadlineMixOfTimersAndDelaysKeepsScheduleOrder) {
   // A delay resuming and a timer firing at the same instant dispatch in the
   // order they were pushed onto the event queue, not by producer kind.
   Simulation sim;
-  Timer timer(sim);
   std::vector<char> order;
   sim.spawn([](Simulation& s, std::vector<char>& order) -> Task<> {
     co_await s.delay(milliseconds(3));
     order.push_back('d');
   }(sim, order), "delayer");
-  timer.arm(TimePoint::origin() + milliseconds(3),
-            [&order] { order.push_back('t'); });
+  sim.schedule_at(TimePoint::origin() + milliseconds(3), [&order] { order.push_back('t'); });
   sim.run();
   // Spawned coroutines start lazily inside run(), so the timer's event was
   // pushed first and FIFO tie-breaking dispatches it first. What matters for
   // trace determinism is that this order is pinned, not which one wins.
   EXPECT_EQ(order, (std::vector<char>{'t', 'd'}));
-}
-
-TEST(Timer, RearmAtSameTimestampGetsFreshFifoSlot) {
-  // Re-arming at an identical deadline must still fire exactly once and
-  // after events queued between the two arms (a new sequence number is
-  // allocated; the superseded event is a no-op).
-  Simulation sim;
-  Timer timer(sim);
-  std::vector<int> order;
-  const TimePoint deadline = TimePoint::origin() + milliseconds(1);
-  timer.arm(deadline, [&order] { order.push_back(1); });
-  sim.schedule_at(deadline, [&order] { order.push_back(2); });
-  timer.arm(deadline, [&order] { order.push_back(3); });  // supersedes #1
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{2, 3}));
 }
 
 }  // namespace
