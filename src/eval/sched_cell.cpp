@@ -12,17 +12,19 @@ namespace {
 
 constexpr int kTag = 64;
 
-[[nodiscard]] mp::Bytes filled(std::int64_t bytes) {
-  return mp::Bytes(static_cast<std::size_t>(bytes), std::byte{0x5A});
+/// A job's filler payload: built once with the program, immutable, so every
+/// send and broadcast hop of every job run from this template shares it.
+[[nodiscard]] mp::Payload filler(std::int64_t bytes) {
+  return mp::make_payload(mp::Bytes(static_cast<std::size_t>(bytes), std::byte{0x5A}));
 }
 
 /// Ring exchange: every rank passes `bytes` around the ring `rounds` times.
 [[nodiscard]] mp::RankProgram ring_program(int rounds, std::int64_t bytes) {
-  return [rounds, bytes](mp::Communicator& c) -> sim::Task<void> {
+  return [rounds, data = filler(bytes)](mp::Communicator& c) -> sim::Task<void> {
     const int next = (c.rank() + 1) % c.size();
     const int prev = (c.rank() + c.size() - 1) % c.size();
     for (int r = 0; r < rounds; ++r) {
-      co_await c.send(next, kTag + r, mp::make_payload(filled(bytes)));
+      co_await c.send(next, kTag + r, data);
       (void)co_await c.recv(prev, kTag + r);
     }
   };
@@ -30,11 +32,12 @@ constexpr int kTag = 64;
 
 /// Repeated broadcast from rank 0 (host-node traffic shape).
 [[nodiscard]] mp::RankProgram broadcast_program(int rounds, std::int64_t bytes) {
-  return [rounds, bytes](mp::Communicator& c) -> sim::Task<void> {
+  return [rounds, data = filler(bytes)](mp::Communicator& c) -> sim::Task<void> {
+    if (c.size() == 1) co_return;  // as the Bytes& overload: no collective, no trace span
     for (int r = 0; r < rounds; ++r) {
-      mp::Bytes data;
-      if (c.rank() == 0) data = filled(bytes);
-      co_await c.broadcast(0, data, kTag + r);
+      mp::Payload pay;
+      if (c.rank() == 0) pay = data;
+      co_await c.broadcast(0, pay, kTag + r);
     }
   };
 }

@@ -11,17 +11,19 @@ namespace {
 
 constexpr int kTag = 42;
 
-[[nodiscard]] mp::Bytes filled(std::int64_t bytes) {
-  return mp::Bytes(static_cast<std::size_t>(bytes), std::byte{0x5A});
+/// The filler every TPL program sends: built once per run, immutable, so
+/// each send and each broadcast hop shares the one buffer.
+[[nodiscard]] mp::Payload filler(std::int64_t bytes) {
+  return mp::make_payload(mp::Bytes(static_cast<std::size_t>(bytes), std::byte{0x5A}));
 }
 
 }  // namespace
 
 double sendrecv_ms(host::PlatformId platform, mp::ToolKind tool, std::int64_t bytes,
                    const fault::FaultPlan& faults) {
-  auto program = [bytes](mp::Communicator& c) -> sim::Task<void> {
+  auto program = [data = filler(bytes)](mp::Communicator& c) -> sim::Task<void> {
     if (c.rank() == 0) {
-      co_await c.send(1, kTag, mp::make_payload(filled(bytes)));
+      co_await c.send(1, kTag, data);
       (void)co_await c.recv(1, kTag + 1);
     } else {
       mp::Message m = co_await c.recv(0, kTag);
@@ -33,21 +35,22 @@ double sendrecv_ms(host::PlatformId platform, mp::ToolKind tool, std::int64_t by
 
 double broadcast_ms(host::PlatformId platform, mp::ToolKind tool, int procs,
                     std::int64_t bytes, const fault::FaultPlan& faults) {
-  auto program = [bytes](mp::Communicator& c) -> sim::Task<void> {
-    mp::Bytes data;
-    if (c.rank() == 0) data = filled(bytes);
-    co_await c.broadcast(0, data, kTag);
+  auto program = [data = filler(bytes)](mp::Communicator& c) -> sim::Task<void> {
+    if (c.size() == 1) co_return;  // as the Bytes& overload: no collective, no trace span
+    mp::Payload pay;
+    if (c.rank() == 0) pay = data;
+    co_await c.broadcast(0, pay, kTag);
   };
   return mp::run_spmd(platform, procs, tool, program, faults).elapsed.millis();
 }
 
 double ring_ms(host::PlatformId platform, mp::ToolKind tool, int procs, std::int64_t bytes,
                int rounds, const fault::FaultPlan& faults) {
-  auto program = [bytes, procs, rounds](mp::Communicator& c) -> sim::Task<void> {
+  auto program = [data = filler(bytes), procs, rounds](mp::Communicator& c) -> sim::Task<void> {
     const int next = (c.rank() + 1) % procs;
     const int prev = (c.rank() + procs - 1) % procs;
     for (int r = 0; r < rounds; ++r) {
-      co_await c.send(next, kTag + r, mp::make_payload(filled(bytes)));
+      co_await c.send(next, kTag + r, data);
       (void)co_await c.recv(prev, kTag + r);
     }
   };

@@ -141,6 +141,7 @@ void Store::load_log_locked() {
     return;
   }
   stats_.recovered = live_;
+  stats_.truncated_bytes = size - valid_end;
   if (valid_end != size) {
     if (::ftruncate(fd_, static_cast<off_t>(valid_end)) != 0) {
       throw std::runtime_error("evald::Store: cannot truncate torn tail of " + path_);

@@ -43,6 +43,10 @@ struct StoreStats {
   std::uint64_t log_bytes{0};         ///< append-only log size (disk + tail)
   std::uint64_t recovered{0};         ///< entries replayed from disk at open
   std::uint64_t discarded_stale{0};   ///< entries dropped by a version bump
+  /// Log bytes cut away at open: the first torn or corrupt record and every
+  /// record after it. Nonzero means replay lost data (a crash tears only the
+  /// tail; a bad byte mid-log also drops the intact records behind it).
+  std::uint64_t truncated_bytes{0};
 };
 
 /// A served result: the canonical result bytes plus whether the entry was

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "host/cpu_model.hpp"
 #include "net/network.hpp"
@@ -20,9 +19,7 @@ namespace pdc::host {
 class Node {
  public:
   Node(sim::Simulation& sim, net::NodeId id, CpuModel cpu)
-      : id_(id),
-        cpu_(std::move(cpu)),
-        stack_(sim, cpu_.name + "#" + std::to_string(id) + ".stack") {}
+      : id_(id), cpu_(std::move(cpu)), stack_(sim) {}
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;

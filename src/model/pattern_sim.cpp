@@ -13,8 +13,10 @@ namespace {
 constexpr int kTag = 1200;
 constexpr int kStopTag = 1199;
 
-[[nodiscard]] mp::Bytes filled(std::int64_t bytes) {
-  return mp::Bytes(static_cast<std::size_t>(bytes), std::byte{0x3C});
+/// The filler a pattern program sends: built once per run, immutable, so
+/// every send and broadcast hop shares the one buffer.
+[[nodiscard]] mp::Payload filler(std::int64_t bytes) {
+  return mp::make_payload(mp::Bytes(static_cast<std::size_t>(bytes), std::byte{0x3C}));
 }
 
 }  // namespace
@@ -23,11 +25,12 @@ double pipeline_sim_ms(host::PlatformId platform, mp::ToolKind tool, int procs,
                        std::int64_t bytes, int items, double flops) {
   if (procs < 2) throw std::invalid_argument("pipeline_sim_ms: procs < 2");
   if (items < 1) throw std::invalid_argument("pipeline_sim_ms: items < 1");
-  auto program = [bytes, items, procs, flops](mp::Communicator& c) -> sim::Task<void> {
+  auto program = [data = filler(bytes), items, procs, flops](mp::Communicator& c)
+      -> sim::Task<void> {
     const int rank = c.rank();
     for (int k = 0; k < items; ++k) {
       if (rank == 0) {
-        co_await c.send(1, kTag + k, mp::make_payload(filled(bytes)));
+        co_await c.send(1, kTag + k, data);
       } else {
         mp::Message m = co_await c.recv(rank - 1, kTag + k);
         if (flops > 0.0) co_await c.compute_flops(flops);
@@ -51,14 +54,15 @@ std::optional<double> mapreduce_sim_ms(host::PlatformId platform, mp::ToolKind t
   // neighbour shift of the broadcast payload (all ranks shift
   // concurrently, so a wave costs one shift, and the waves serialise).
   const int waves = (tasks + procs - 1) / procs;
-  auto program = [bytes, waves, procs, ints, flops](mp::Communicator& c) -> sim::Task<void> {
-    mp::Bytes data;
-    if (c.rank() == 0) data = filled(bytes);
+  auto program = [root_data = filler(bytes), waves, procs, ints, flops](mp::Communicator& c)
+      -> sim::Task<void> {
+    mp::Payload data;
+    if (c.rank() == 0) data = root_data;
     co_await c.broadcast(0, data, kTag);
     const int next = (c.rank() + 1) % procs;
     const int prev = (c.rank() + procs - 1) % procs;
     for (int w = 0; w < waves; ++w) {
-      co_await c.send(next, kTag + 1 + w, mp::make_payload(mp::Bytes(data)));
+      co_await c.send(next, kTag + 1 + w, data);
       (void)co_await c.recv(prev, kTag + 1 + w);
       if (flops > 0.0) co_await c.compute_flops(flops);
     }
@@ -73,24 +77,25 @@ double taskpool_sim_ms(host::PlatformId platform, mp::ToolKind tool, int procs,
   if (procs < 2) throw std::invalid_argument("taskpool_sim_ms: procs < 2");
   if (tasks < 1) throw std::invalid_argument("taskpool_sim_ms: tasks < 1");
   const int workers = procs - 1;
-  auto program = [bytes, tasks, workers, flops](mp::Communicator& c) -> sim::Task<void> {
+  auto program = [data = filler(bytes), tasks, workers, flops](mp::Communicator& c)
+      -> sim::Task<void> {
     if (c.rank() == 0) {
       // Pool head: one task per worker up front, then demand-driven --
       // the next task goes to whichever worker's echo arrives first.
       int sent = 0, done = 0;
       for (int w = 1; w <= workers && sent < tasks; ++w, ++sent) {
-        co_await c.send(w, kTag, mp::make_payload(filled(bytes)));
+        co_await c.send(w, kTag, data);
       }
       while (done < tasks) {
         mp::Message reply = co_await c.recv(mp::kAnySource, kTag);
         ++done;
         if (sent < tasks) {
-          co_await c.send(reply.src, kTag, mp::make_payload(filled(bytes)));
+          co_await c.send(reply.src, kTag, data);
           ++sent;
         }
       }
       for (int w = 1; w <= workers; ++w) {
-        co_await c.send(w, kStopTag, mp::make_payload(mp::Bytes{}));
+        co_await c.send(w, kStopTag, mp::empty_payload());
       }
     } else {
       while (true) {

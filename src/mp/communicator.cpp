@@ -116,12 +116,13 @@ sim::Task<void> Communicator::send(int dst, int tag, Payload payload) {
   }
   co_await sim().delay(app_cost);
 
-  Message msg{rank_, tag, payload ? std::move(payload) : empty_payload(), trace_id};
+  Parcel* p = rt_.take_parcel(
+      rank_, dst, Message{rank_, tag, payload ? std::move(payload) : empty_payload(), trace_id});
 
   if (dst == rank_) {
     // Loopback: one memory copy, no wire.
     const sim::TimePoint at = sim().now() + node().cpu().copy(n);
-    rt_.deliver_at(at, dst, std::move(msg));
+    rt_.deliver_at(at, p);
     emit_send_end();
     co_return;
   }
@@ -132,10 +133,8 @@ sim::Task<void> Communicator::send(int dst, int tag, Payload payload) {
         sim::from_seconds(prof.send_copies * cpu.copy(n).seconds()) +
         packets_for(n) * prof.per_packet_send;
     const sim::TimePoint e1 = rt_.tx_engine(rank_).reserve(engine_work);
-    rt_.sim().schedule_at(e1, [rt = &rt_, src = rank_, dst, handoff = direct_handoff(dst, n),
-                               msg = std::move(msg)]() mutable {
-      rt->kernel_transfer(src, dst, std::move(msg), handoff);
-    });
+    p->handoff = direct_handoff(dst, n);
+    rt_.sim().schedule_at(e1, [p] { p->rt->kernel_transfer(p); });
     // exsend blocks until the buffer layer has packetised the message (the
     // receive side still pipelines with the wire).
     if (prof.blocking_send) co_await sim().delay_until(e1);
@@ -146,7 +145,7 @@ sim::Task<void> Communicator::send(int dst, int tag, Payload payload) {
   if (prof.via_daemon && route_direct_) {
     // PvmRouteDirect: task-to-task TCP, no daemons, no fragment/ack wire
     // protocol; the send stays asynchronous (buffer handed to the kernel).
-    rt_.kernel_transfer(rank_, dst, std::move(msg), Handoff{});
+    rt_.kernel_transfer(p);
     emit_send_end();
     co_return;
   }
@@ -160,24 +159,18 @@ sim::Task<void> Communicator::send(int dst, int tag, Payload payload) {
     const sim::Duration service = daemon_service(n);
     const sim::Duration latency = daemon_latency(n, service);
     const sim::TimePoint d1 = rt_.daemon_hop(rank_, service, latency);
-    const net::ChunkProtocol wire_protocol{.chunk_bytes = prof.daemon_fragment,
-                                           .ack_bytes = 64,
-                                           .turnaround = sim::microseconds(250)};
-    rt_.sim().schedule_at(
-        d1, [rt = &rt_, src = rank_, dst, service, latency, wire_protocol,
-             msg = std::move(msg)]() mutable {
-          rt->kernel_transfer(src, dst, std::move(msg),
-                              Handoff{.stage = Handoff::Stage::Daemon,
-                                      .service = service,
-                                      .latency = latency},
-                              wire_protocol);
-        });
+    p->handoff = {.stage = Handoff::Stage::Daemon, .service = service, .latency = latency};
+    p->chunked = net::ChunkProtocol{.chunk_bytes = prof.daemon_fragment,
+                                    .ack_bytes = 64,
+                                    .turnaround = sim::microseconds(250)};
+    rt_.sim().schedule_at(d1, [p] { p->rt->kernel_transfer(p); });
     emit_send_end();
     co_return;  // pvm_send does not wait for the wire
   }
 
   // Direct route (p4, Express).
-  const sim::TimePoint t1 = rt_.kernel_transfer(rank_, dst, std::move(msg), direct_handoff(dst, n));
+  p->handoff = direct_handoff(dst, n);
+  const sim::TimePoint t1 = rt_.kernel_transfer(p);
   if (prof.blocking_send) co_await sim().delay_until(t1);
   emit_send_end();
 }

@@ -17,28 +17,6 @@ constexpr int kMaxBackoffShift = 8;     // RTO doubling cap: base * 2^8
 
 }  // namespace
 
-/// One reliable-transport message. Shared between the sender side (attempt
-/// counter, retransmission deadline) and the receiver side (the message and
-/// its receive handoff) -- the simulation is single-threaded, so this is
-/// bookkeeping, not shared-memory cheating: every field change happens at a
-/// definite simulated time on the side that owns it.
-struct Runtime::Flight {
-  int src{0};
-  int dst{0};
-  // The message's size, kept apart: the in-order release moves the payload
-  // out, and a spurious retransmission after it still sends these bytes.
-  // (The move leaves `msg`'s scalar fields, so `msg.trace_id` stays valid.)
-  std::int64_t bytes{0};
-  std::uint64_t seq{0};
-  Message msg;
-  Handoff handoff;
-  std::optional<net::ChunkProtocol> chunked;
-  int attempt{0};
-  bool completed{false};                // an ack reached the sender
-  sim::TimePoint deadline{};            // current attempt's retransmission deadline
-  sim::Duration rto_base{};
-};
-
 Runtime::Runtime(host::Cluster& cluster, ToolKind kind)
     : Runtime(cluster, kind, tool_profile(kind, cluster.platform())) {}
 
@@ -82,79 +60,101 @@ TransportStats Runtime::transport_total() const noexcept {
   return total;
 }
 
-sim::TimePoint Runtime::kernel_transfer(int src, int dst, Message msg, Handoff handoff,
-                                        std::optional<net::ChunkProtocol> chunked) {
-  const std::int64_t bytes = msg.size_bytes();
+Parcel* Runtime::take_parcel(int src, int dst, Message msg) {
+  if (free_parcels_ == nullptr) {
+    // Double the storage: a run reaches its peak in-flight count in a few
+    // slabs and then recycles.
+    const std::size_t n = std::max<std::size_t>(16, parcels_allocated_);
+    auto slab = std::make_unique<Parcel[]>(n);
+    for (std::size_t i = n; i-- > 0;) {
+      slab[i].next_free = free_parcels_;
+      free_parcels_ = &slab[i];
+    }
+    parcels_allocated_ += n;
+    parcel_slabs_.push_back(std::move(slab));
+  }
+  Parcel* p = free_parcels_;
+  free_parcels_ = p->next_free;
+  *p = Parcel{};
+  p->rt = this;
+  p->msg = std::move(msg);
+  p->src = src;
+  p->dst = dst;
+  p->refs = 1;
+  return p;
+}
+
+void Runtime::unref(Parcel* p) noexcept {
+  if (--p->refs > 0) return;
+  p->next_free = free_parcels_;
+  free_parcels_ = p;
+}
+
+sim::TimePoint Runtime::kernel_transfer(Parcel* p) {
+  const std::int64_t bytes = p->msg.size_bytes();
   ++messages_sent_;
   payload_bytes_ += static_cast<std::uint64_t>(bytes);
-  auto& simulation = sim();
-  auto& src_node = node(src);
+  auto& src_node = node(p->src);
   const sim::TimePoint t1 = src_node.stack().reserve(src_node.stack_service(bytes));
 
   if (reliable_wire_) {
     // Fast path: the wire delivers every frame intact exactly once, so no
     // sequencing/reject/ack machinery runs (and fault-free timings stay
     // bit-identical to the pre-fault kernel).
-    simulation.schedule_at(t1, [this, src, dst, handoff, chunked,
-                                msg = std::move(msg)]() mutable {
-      const std::int64_t bytes = msg.size_bytes();
-      const net::NodeId s = node_of(src);
-      const net::NodeId d = node_of(dst);
-      const sim::TimePoint arrival =
-          chunked ? cluster_.network().transfer_chunked(s, d, bytes, *chunked)
-                  : cluster_.network().transfer(s, d, bytes);
-      if (trace::active()) {
-        trace::emit({.t_ns = sim().now().ns,
-                     .bytes = bytes,
-                     .aux0 = arrival.ns,
-                     .aux1 = 1,  // single attempt on a reliable wire
-                     .id = msg.trace_id,
-                     .kind = trace::Kind::MsgWire,
-                     .rank = static_cast<std::int16_t>(s),
-                     .peer = static_cast<std::int16_t>(d)});
-      }
-      sim().schedule_at(arrival, [this, dst, handoff, msg = std::move(msg)]() mutable {
-        auto& dst_node = node(dst);
-        const sim::TimePoint t2 =
-            dst_node.stack().reserve(dst_node.stack_service(msg.size_bytes()));
-        sim().schedule_at(t2, [this, dst, handoff, msg = std::move(msg)]() mutable {
-          hand_off(dst, std::move(msg), handoff);
-        });
-      });
-    });
+    sim().schedule_at(t1, [p] { p->rt->wire_hop(p); });
     return t1;
   }
 
-  auto flight = std::make_shared<Flight>();
-  flight->src = src;
-  flight->dst = dst;
-  flight->bytes = bytes;
-  flight->seq = tx_seq(src, dst)++;  // send order == t1 order (FIFO src stack)
-  flight->msg = std::move(msg);
-  flight->handoff = handoff;
-  flight->chunked = chunked;
+  p->bytes = bytes;
+  p->seq = tx_seq(p->src, p->dst)++;  // send order == t1 order (FIFO src stack)
   const auto& network = cluster_.network();
   const double round_trip_s =
       static_cast<double>(network.wire_bytes(bytes) + network.wire_bytes(kAckBytes)) * 8.0 /
       network.line_rate_bps();
-  flight->rto_base = sim::from_seconds(4.0 * round_trip_s) + sim::milliseconds(2);
-  reliable_transfer(std::move(flight), t1);
+  p->rto_base = sim::from_seconds(4.0 * round_trip_s) + sim::milliseconds(2);
+  sim().schedule_at(t1, [p] { p->rt->transmit_attempt(p); });
   return t1;
 }
 
-void Runtime::hand_off(int dst, Message msg, const Handoff& handoff) {
+void Runtime::wire_hop(Parcel* p) {
+  const std::int64_t bytes = p->msg.size_bytes();
+  const net::NodeId s = node_of(p->src);
+  const net::NodeId d = node_of(p->dst);
+  const sim::TimePoint arrival = p->chunked
+                                     ? cluster_.network().transfer_chunked(s, d, bytes, *p->chunked)
+                                     : cluster_.network().transfer(s, d, bytes);
+  if (trace::active()) {
+    trace::emit({.t_ns = sim().now().ns,
+                 .bytes = bytes,
+                 .aux0 = arrival.ns,
+                 .aux1 = 1,  // single attempt on a reliable wire
+                 .id = p->msg.trace_id,
+                 .kind = trace::Kind::MsgWire,
+                 .rank = static_cast<std::int16_t>(s),
+                 .peer = static_cast<std::int16_t>(d)});
+  }
+  sim().schedule_at(arrival, [p] { p->rt->receiver_stack(p); });
+}
+
+void Runtime::receiver_stack(Parcel* p) {
+  auto& dst_node = node(p->dst);
+  const sim::TimePoint t2 = dst_node.stack().reserve(dst_node.stack_service(p->msg.size_bytes()));
+  sim().schedule_at(t2, [p] { p->rt->hand_off(p); });
+}
+
+void Runtime::hand_off(Parcel* p) {
   sim::TimePoint at = sim().now();
-  switch (handoff.stage) {
+  switch (p->handoff.stage) {
     case Handoff::Stage::Mailbox:
       break;
     case Handoff::Stage::RxEngine:
-      at = rx_engine(dst).reserve(handoff.service);
+      at = rx_engine(p->dst).reserve(p->handoff.service);
       break;
     case Handoff::Stage::Daemon:
-      at = daemon_hop(dst, handoff.service, handoff.latency);
+      at = daemon_hop(p->dst, p->handoff.service, p->handoff.latency);
       break;
   }
-  deliver_at(at, dst, std::move(msg));
+  deliver_at(at, p);
 }
 
 sim::TimePoint Runtime::daemon_hop(int rank, sim::Duration service, sim::Duration latency) {
@@ -167,42 +167,40 @@ sim::TimePoint Runtime::daemon_hop(int rank, sim::Duration service, sim::Duratio
   return d.reserve_pipelined(service, latency);
 }
 
-void Runtime::reliable_transfer(std::shared_ptr<Flight> flight, sim::TimePoint at) {
-  sim().schedule_at(at, [this, flight = std::move(flight)] { transmit_attempt(flight); });
-}
-
-sim::Duration Runtime::rto(const Flight& flight) const noexcept {
-  const int shift = std::min(flight.attempt - 1, kMaxBackoffShift);
-  const sim::Duration backed_off = flight.rto_base * (std::int64_t{1} << shift);
+sim::Duration Runtime::rto(const Parcel& p) const noexcept {
+  const int shift = std::min(p.attempt - 1, kMaxBackoffShift);
+  const sim::Duration backed_off = p.rto_base * (std::int64_t{1} << shift);
   // Absolute cap, but never below one base RTO -- a timeout shorter than
   // the round trip itself would retransmit unconditionally.
-  return std::min(backed_off, std::max(sim::milliseconds(500), flight.rto_base));
+  return std::min(backed_off, std::max(sim::milliseconds(500), p.rto_base));
 }
 
-void Runtime::transmit_attempt(const std::shared_ptr<Flight>& flight) {
-  if (flight->completed) return;  // a late ack landed after this was scheduled
-  if (flight->attempt >= kMaxAttempts) {
-    throw TransportFailure("reliable transport: message " + std::to_string(flight->seq) +
-                           " on link " + std::to_string(flight->src) + "->" +
-                           std::to_string(flight->dst) + " exceeded " +
+void Runtime::transmit_attempt(Parcel* p) {
+  if (p->completed) {  // a late ack landed after this was scheduled
+    unref(p);
+    return;
+  }
+  if (p->attempt >= kMaxAttempts) {
+    throw TransportFailure("reliable transport: message " + std::to_string(p->seq) +
+                           " on link " + std::to_string(p->src) + "->" +
+                           std::to_string(p->dst) + " exceeded " +
                            std::to_string(kMaxAttempts) + " transmission attempts");
   }
-  ++flight->attempt;
+  ++p->attempt;
   auto& network = cluster_.network();
-  const net::NodeId src_node = node_of(flight->src);
-  const net::NodeId dst_node = node_of(flight->dst);
+  const net::NodeId src_node = node_of(p->src);
+  const net::NodeId dst_node = node_of(p->dst);
   const net::Delivery d =
-      flight->chunked
-          ? network.transmit_chunked(src_node, dst_node, flight->bytes, *flight->chunked)
-          : network.transmit(src_node, dst_node, flight->bytes);
-  flight->deadline = sim().now() + rto(*flight);
+      p->chunked ? network.transmit_chunked(src_node, dst_node, p->bytes, *p->chunked)
+                 : network.transmit(src_node, dst_node, p->bytes);
+  p->deadline = sim().now() + rto(*p);
   if (trace::active()) {
     if (!d.dropped) {
       trace::emit({.t_ns = sim().now().ns,
-                   .bytes = flight->bytes,
+                   .bytes = p->bytes,
                    .aux0 = d.arrival.ns,
-                   .aux1 = flight->attempt,
-                   .id = flight->msg.trace_id,
+                   .aux1 = p->attempt,
+                   .id = p->msg.trace_id,
                    .kind = trace::Kind::MsgWire,
                    .rank = static_cast<std::int16_t>(src_node),
                    .peer = static_cast<std::int16_t>(dst_node)});
@@ -217,138 +215,155 @@ void Runtime::transmit_attempt(const std::shared_ptr<Flight>& flight) {
   // *timing* is exactly what a real timeout-driven sender would produce;
   // only the pointless no-op events are skipped.
   if (d.dropped) {
-    ++transport_[static_cast<std::size_t>(flight->src)].drops_seen;
+    ++transport_[static_cast<std::size_t>(p->src)].drops_seen;
     if (trace::active()) {
       trace::emit({.t_ns = sim().now().ns,
-                   .bytes = flight->bytes,
-                   .aux0 = flight->attempt,
-                   .id = flight->seq,
+                   .bytes = p->bytes,
+                   .aux0 = p->attempt,
+                   .id = p->seq,
                    .kind = trace::Kind::FrameDrop,
                    .rank = static_cast<std::int16_t>(src_node),
                    .peer = static_cast<std::int16_t>(dst_node)});
     }
-    arm_retransmit(flight, flight->deadline);
+    arm_retransmit(p, p->deadline);
+    unref(p);
     return;
   }
   // The frame carries the wire's corruption verdict instead of a payload
   // CRC: the wire never alters a payload byte (`Payload` points at const
   // bytes), so a receiver-side checksum could only re-derive this flag.
   const bool corrupted = d.corrupted;
-  sim().schedule_at(d.arrival, [this, flight, corrupted] { on_data_frame(flight, corrupted); });
+  ++p->refs;
+  sim().schedule_at(d.arrival, [p, corrupted] { p->rt->on_data_frame(p, corrupted); });
   if (d.duplicated) {
-    sim().schedule_at(d.dup_arrival,
-                      [this, flight, corrupted] { on_data_frame(flight, corrupted); });
+    ++p->refs;
+    sim().schedule_at(d.dup_arrival, [p, corrupted] { p->rt->on_data_frame(p, corrupted); });
   }
   if (corrupted) {
     // The receiver will reject both copies and stay silent.
-    arm_retransmit(flight, flight->deadline);
+    arm_retransmit(p, p->deadline);
   }
+  unref(p);
 }
 
-void Runtime::arm_retransmit(const std::shared_ptr<Flight>& flight, sim::TimePoint at) {
+void Runtime::arm_retransmit(Parcel* p, sim::TimePoint at) {
   const sim::TimePoint when = std::max(at, sim().now());
-  const int armed_for = flight->attempt;
-  sim().schedule_at(when, [this, flight, armed_for] {
-    // Superseded if an ack completed the flight, or another event (a second
-    // lost ack for the same attempt) already retransmitted it.
-    if (flight->completed || flight->attempt != armed_for) return;
-    ++transport_[static_cast<std::size_t>(flight->src)].retransmits;
-    if (trace::active()) {
-      trace::emit({.t_ns = sim().now().ns,
-                   .bytes = flight->bytes,
-                   .aux0 = armed_for,
-                   .id = flight->seq,
-                   .kind = trace::Kind::Retransmit,
-                   .rank = static_cast<std::int16_t>(node_of(flight->src)),
-                   .peer = static_cast<std::int16_t>(node_of(flight->dst))});
-    }
-    transmit_attempt(flight);
-  });
+  const int armed_for = p->attempt;
+  ++p->refs;
+  sim().schedule_at(when, [p, armed_for] { p->rt->on_retransmit_timer(p, armed_for); });
 }
 
-void Runtime::on_data_frame(const std::shared_ptr<Flight>& flight, bool corrupted) {
-  if (corrupted) {
-    ++transport_[static_cast<std::size_t>(flight->dst)].corrupt_rejected;
-    if (trace::active()) {
-      trace::emit({.t_ns = sim().now().ns,
-                   .bytes = flight->bytes,
-                   .id = flight->seq,
-                   .kind = trace::Kind::CorruptReject,
-                   .rank = static_cast<std::int16_t>(node_of(flight->dst)),
-                   .peer = static_cast<std::int16_t>(node_of(flight->src))});
-    }
-    return;  // no ack; the sender's retransmission timer is already armed
-  }
-  RxLink& ls = rx_link(flight->src, flight->dst);
-  if (flight->seq < ls.rx_next || ls.rx_held.contains(flight->seq)) {
-    // Duplicate (wire duplication or a spurious retransmission). Re-ack so
-    // a sender that missed the first ack stops resending.
-    ++transport_[static_cast<std::size_t>(flight->dst)].dup_discarded;
-    if (trace::active()) {
-      trace::emit({.t_ns = sim().now().ns,
-                   .bytes = flight->bytes,
-                   .id = flight->seq,
-                   .kind = trace::Kind::DupDiscard,
-                   .rank = static_cast<std::int16_t>(node_of(flight->dst)),
-                   .peer = static_cast<std::int16_t>(node_of(flight->src))});
-    }
-    send_ack(flight);
+void Runtime::on_retransmit_timer(Parcel* p, int armed_for) {
+  // Superseded if an ack completed the flight, or another event (a second
+  // lost ack for the same attempt) already retransmitted it.
+  if (p->completed || p->attempt != armed_for) {
+    unref(p);
     return;
   }
-  ls.rx_held.emplace(flight->seq, flight);
+  ++transport_[static_cast<std::size_t>(p->src)].retransmits;
+  if (trace::active()) {
+    trace::emit({.t_ns = sim().now().ns,
+                 .bytes = p->bytes,
+                 .aux0 = armed_for,
+                 .id = p->seq,
+                 .kind = trace::Kind::Retransmit,
+                 .rank = static_cast<std::int16_t>(node_of(p->src)),
+                 .peer = static_cast<std::int16_t>(node_of(p->dst))});
+  }
+  transmit_attempt(p);
+}
+
+void Runtime::on_data_frame(Parcel* p, bool corrupted) {
+  if (corrupted) {
+    ++transport_[static_cast<std::size_t>(p->dst)].corrupt_rejected;
+    if (trace::active()) {
+      trace::emit({.t_ns = sim().now().ns,
+                   .bytes = p->bytes,
+                   .id = p->seq,
+                   .kind = trace::Kind::CorruptReject,
+                   .rank = static_cast<std::int16_t>(node_of(p->dst)),
+                   .peer = static_cast<std::int16_t>(node_of(p->src))});
+    }
+    unref(p);
+    return;  // no ack; the sender's retransmission timer is already armed
+  }
+  RxLink& ls = rx_link(p->src, p->dst);
+  if (p->seq < ls.rx_next || ls.rx_held.contains(p->seq)) {
+    // Duplicate (wire duplication or a spurious retransmission). Re-ack so
+    // a sender that missed the first ack stops resending.
+    ++transport_[static_cast<std::size_t>(p->dst)].dup_discarded;
+    if (trace::active()) {
+      trace::emit({.t_ns = sim().now().ns,
+                   .bytes = p->bytes,
+                   .id = p->seq,
+                   .kind = trace::Kind::DupDiscard,
+                   .rank = static_cast<std::int16_t>(node_of(p->dst)),
+                   .peer = static_cast<std::int16_t>(node_of(p->src))});
+    }
+    send_ack(p);
+    unref(p);
+    return;
+  }
+  ++p->refs;  // the reorder buffer's
+  ls.rx_held.emplace(p->seq, p);
   while (!ls.rx_held.empty() && ls.rx_held.begin()->first == ls.rx_next) {
-    auto ready = ls.rx_held.begin()->second;
+    Parcel* ready = ls.rx_held.begin()->second;
     ls.rx_held.erase(ls.rx_held.begin());
     ++ls.rx_next;
-    release_to_receiver(ready);
+    release_to_receiver(ready);  // hands the reorder buffer's reference on
   }
-  send_ack(flight);
+  send_ack(p);
+  unref(p);
 }
 
-void Runtime::release_to_receiver(const std::shared_ptr<Flight>& flight) {
-  auto& dst_node = node(flight->dst);
-  const sim::TimePoint t2 = dst_node.stack().reserve(dst_node.stack_service(flight->bytes));
-  sim().schedule_at(t2, [this, flight] {
-    hand_off(flight->dst, std::move(flight->msg), flight->handoff);
-  });
+void Runtime::release_to_receiver(Parcel* p) {
+  auto& dst_node = node(p->dst);
+  const sim::TimePoint t2 = dst_node.stack().reserve(dst_node.stack_service(p->bytes));
+  sim().schedule_at(t2, [p] { p->rt->hand_off(p); });
 }
 
-void Runtime::send_ack(const std::shared_ptr<Flight>& flight) {
+void Runtime::send_ack(Parcel* p) {
   auto& network = cluster_.network();
   // The ack is a real frame on the reverse link: it contends for the wire
   // and is subject to the same fault plan as data.
-  const net::Delivery a =
-      network.transmit(node_of(flight->dst), node_of(flight->src), kAckBytes);
+  const net::Delivery a = network.transmit(node_of(p->dst), node_of(p->src), kAckBytes);
   if (a.dropped || a.corrupted) {
     // Lost ack (the sender rejects a corrupted ack, so it is as good as
     // dropped). Charged to this rank: it transmitted the frame the wire ate.
-    ++transport_[static_cast<std::size_t>(flight->dst)].drops_seen;
+    ++transport_[static_cast<std::size_t>(p->dst)].drops_seen;
     if (trace::active()) {
       trace::emit({.t_ns = sim().now().ns,
                    .bytes = kAckBytes,
-                   .aux0 = flight->attempt,
-                   .id = flight->seq,
+                   .aux0 = p->attempt,
+                   .id = p->seq,
                    .kind = trace::Kind::FrameDrop,
-                   .rank = static_cast<std::int16_t>(node_of(flight->dst)),
-                   .peer = static_cast<std::int16_t>(node_of(flight->src))});
+                   .rank = static_cast<std::int16_t>(node_of(p->dst)),
+                   .peer = static_cast<std::int16_t>(node_of(p->src))});
     }
-    arm_retransmit(flight, flight->deadline);
+    arm_retransmit(p, p->deadline);
     return;
   }
-  if (a.arrival > flight->deadline) {
+  if (a.arrival > p->deadline) {
     // The ack will land after the timeout: a real sender retransmits
     // spuriously at the deadline (the receiver dedups the extra copy).
-    arm_retransmit(flight, flight->deadline);
+    arm_retransmit(p, p->deadline);
   }
-  sim().schedule_at(a.arrival, [flight] { flight->completed = true; });
+  ++p->refs;
+  sim().schedule_at(a.arrival, [p] {
+    p->completed = true;
+    p->rt->unref(p);
+  });
   // Wire duplication of the ack needs no handling: a second ack for a
   // completed flight is a no-op.
 }
 
-void Runtime::deliver_at(sim::TimePoint at, int dst, Message msg) {
-  sim().schedule_at(at, [this, dst, msg = std::move(msg)]() mutable {
-    mailbox(dst).push(std::move(msg));
-  });
+void Runtime::deliver_at(sim::TimePoint at, Parcel* p) {
+  sim().schedule_at(at, [p] { p->rt->deliver(p); });
+}
+
+void Runtime::deliver(Parcel* p) {
+  mailbox(p->dst).push(std::move(p->msg));
+  unref(p);
 }
 
 }  // namespace pdc::mp

@@ -6,11 +6,14 @@
 // kernel transfer pipeline: sender stack -> wire -> receiver stack ->
 // receive handoff, as a chain of scheduled events so every resource
 // reservation happens at its own moment in simulated time (exact FIFO
-// queueing). The message itself travels down that chain as plain data; the
-// last hop is named by a `Handoff` -- where the receiving node's tool stack
-// takes the message (straight to the process, through the Express receive
-// engine, or through the destination pvmd), which is where the paper's
-// receive-side architectures differ.
+// queueing). The message travels down that chain in one `Parcel`, taken
+// from a free list the runtime owns when the message is sent and returned
+// when the mailbox has it; every hop's event captures only the parcel
+// pointer (plus at most one scalar), so it fits the event's 16-byte inline
+// budget and no hop allocates. The last hop is named by a `Handoff` --
+// where the receiving node's tool stack takes the message (straight to the
+// process, through the Express receive engine, or through the destination
+// pvmd), which is where the paper's receive-side architectures differ.
 //
 // On a reliable wire (every catalogued physical network) the pipeline is
 // exactly that three-hop chain. When the cluster's network reports
@@ -19,7 +22,11 @@
 // rejection of frames the wire corrupted, receiver-side dedup and in-order
 // release, and ack/timeout/retransmission with capped exponential backoff
 // -- all as scheduled events on the same queue, so runs stay
-// bit-reproducible. A frame carries the wire's corruption verdict rather
+// bit-reproducible. The parcel doubles as the transport's in-flight record;
+// it counts the events and the reorder-buffer slot that still name it and
+// goes back to the free list when the last one lets go. Parcels stranded by
+// a run that ends early (a throw, a budget trip, a deadlock) are freed with
+// the runtime. A frame carries the wire's corruption verdict rather
 // than a payload CRC: payload bytes are shared and immutable, so a CRC
 // recomputed at the receiver would only re-derive that verdict.
 #pragma once
@@ -102,6 +109,35 @@ struct Handoff {
   sim::Duration latency{};  ///< pipeline-fill latency (Daemon)
 };
 
+class Runtime;
+
+/// One message on its way from the sending process to the receiving
+/// mailbox: the message, its route, and (on an unreliable wire) the
+/// reliable transport's per-message state. Owned by its Runtime.
+struct Parcel {
+  Runtime* rt{nullptr};
+  Message msg;
+  Handoff handoff;
+  std::optional<net::ChunkProtocol> chunked;  ///< PVM daemon fragment+ack protocol
+  int src{0};
+  int dst{0};
+  /// Events (and reorder-buffer slots) that still name this parcel.
+  int refs{0};
+
+  // Reliable transport only.
+  int attempt{0};
+  bool completed{false};  ///< an ack reached the sender
+  // The message's size, kept apart: delivery moves the payload out, and a
+  // spurious retransmission after it still sends these bytes. (The move
+  // leaves `msg`'s scalar fields, so `msg.trace_id` stays valid.)
+  std::int64_t bytes{0};
+  std::uint64_t seq{0};
+  sim::TimePoint deadline{};  ///< current attempt's retransmission deadline
+  sim::Duration rto_base{};
+
+  Parcel* next_free{nullptr};
+};
+
 class Runtime {
  public:
   Runtime(host::Cluster& cluster, ToolKind kind);
@@ -147,14 +183,12 @@ class Runtime {
     }
     return *slot;
   }
-  [[nodiscard]] sim::SerialResource& daemon(int rank) {
-    return lazy_resource(daemons_, rank, "pvmd#");
-  }
+  [[nodiscard]] sim::SerialResource& daemon(int rank) { return lazy_resource(daemons_, rank); }
   [[nodiscard]] sim::SerialResource& rx_engine(int rank) {
-    return lazy_resource(rx_engines_, rank, "rxengine#");
+    return lazy_resource(rx_engines_, rank);
   }
   [[nodiscard]] sim::SerialResource& tx_engine(int rank) {
-    return lazy_resource(tx_engines_, rank, "txengine#");
+    return lazy_resource(tx_engines_, rank);
   }
 
   /// Mailboxes actually created (O(active) state pins in tests).
@@ -174,18 +208,6 @@ class Runtime {
     return total;
   }
 
-  /// Push `msg` through sender stack -> network -> receiver stack, starting
-  /// now, then route it through `handoff`'s stage into rank `dst`'s mailbox.
-  /// The byte count and the trace id (0: untraced) come from the message.
-  /// Returns the sender-stack completion time (what a blocking send waits
-  /// for). `chunked` selects the fragment+ack wire protocol (PVM daemon
-  /// traffic).
-  sim::TimePoint kernel_transfer(int src, int dst, Message msg, Handoff handoff,
-                                 std::optional<net::ChunkProtocol> chunked = std::nullopt);
-
-  /// Hand a message to rank `dst`'s mailbox at time `at`.
-  void deliver_at(sim::TimePoint at, int dst, Message msg);
-
   /// Total messages moved through the fabric (reporting / tests).
   [[nodiscard]] std::uint64_t messages_sent() const noexcept { return messages_sent_; }
   [[nodiscard]] std::uint64_t payload_bytes_sent() const noexcept { return payload_bytes_; }
@@ -199,14 +221,33 @@ class Runtime {
   [[nodiscard]] TransportStats transport_total() const noexcept;
 
  private:
-  struct Flight;  // one reliable-transport message in flight (runtime.cpp)
-
   /// Receiver-side transport state of one directed link: the in-order
   /// release cursor and the reorder buffer.
   struct RxLink {
     std::uint64_t rx_next{0};
-    std::map<std::uint64_t, std::shared_ptr<Flight>> rx_held;
+    std::map<std::uint64_t, Parcel*> rx_held;
   };
+
+  /// A parcel carrying `msg` from rank `src` to rank `dst`, holding one
+  /// reference (the caller's).
+  [[nodiscard]] Parcel* take_parcel(int src, int dst, Message msg);
+  /// Drop one reference; the last one returns the parcel to the free list.
+  void unref(Parcel* p) noexcept;
+
+  /// Push the parcel's message through sender stack -> network -> receiver
+  /// stack, starting now, then route it through its handoff's stage into
+  /// rank `dst`'s mailbox. The byte count and the trace id (0: untraced)
+  /// come from the message; the parcel's `chunked` selects the fragment+ack
+  /// wire protocol (PVM daemon traffic). Takes over the caller's reference.
+  /// Returns the sender-stack completion time (what a blocking send waits
+  /// for).
+  sim::TimePoint kernel_transfer(Parcel* p);
+  /// Reliable wire: the network hop, then the receiver stack.
+  void wire_hop(Parcel* p);
+  void receiver_stack(Parcel* p);
+  /// Hand the parcel's message to rank `dst`'s mailbox at time `at`.
+  void deliver_at(sim::TimePoint at, Parcel* p);
+  void deliver(Parcel* p);
 
   /// Directed-link transport state, created on first use; O(active links),
   /// not O(P^2) (the seed's n*n vector cost ~1 GB at P=4096 before a single
@@ -225,28 +266,28 @@ class Runtime {
   }
 
   [[nodiscard]] sim::SerialResource& lazy_resource(
-      std::vector<std::unique_ptr<sim::SerialResource>>& slots, int rank, const char* prefix) {
+      std::vector<std::unique_ptr<sim::SerialResource>>& slots, int rank) {
     auto& slot = slots.at(static_cast<std::size_t>(rank));
-    if (!slot) {
-      slot = std::make_unique<sim::SerialResource>(sim(), prefix + std::to_string(rank));
-    }
+    if (!slot) slot = std::make_unique<sim::SerialResource>(sim());
     return *slot;
   }
 
   /// The receive handoff, run when rank `dst`'s kernel has the message.
-  void hand_off(int dst, Message msg, const Handoff& handoff);
+  void hand_off(Parcel* p);
   /// Reserve rank `rank`'s pvmd for one message (either side of the daemon
   /// route). A backlogged daemon thrashes between its in and out streams:
   /// the profile's duplex penalty scales both costs.
   sim::TimePoint daemon_hop(int rank, sim::Duration service, sim::Duration latency);
 
-  void reliable_transfer(std::shared_ptr<Flight> flight, sim::TimePoint at);
-  void transmit_attempt(const std::shared_ptr<Flight>& flight);
-  void arm_retransmit(const std::shared_ptr<Flight>& flight, sim::TimePoint at);
-  void on_data_frame(const std::shared_ptr<Flight>& flight, bool corrupted);
-  void send_ack(const std::shared_ptr<Flight>& flight);
-  void release_to_receiver(const std::shared_ptr<Flight>& flight);
-  [[nodiscard]] sim::Duration rto(const Flight& flight) const noexcept;
+  // The reliable transport. Each handler that an event runs takes over that
+  // event's reference; every event it schedules takes a new one.
+  void transmit_attempt(Parcel* p);
+  void arm_retransmit(Parcel* p, sim::TimePoint at);
+  void on_retransmit_timer(Parcel* p, int armed_for);
+  void on_data_frame(Parcel* p, bool corrupted);
+  void send_ack(Parcel* p);
+  void release_to_receiver(Parcel* p);
+  [[nodiscard]] sim::Duration rto(const Parcel& p) const noexcept;
 
   host::Cluster& cluster_;
   ToolKind kind_;
@@ -261,6 +302,11 @@ class Runtime {
   std::vector<std::unique_ptr<std::unordered_map<int, std::uint64_t>>> tx_links_;  // [src] -> dst
   std::vector<std::unique_ptr<std::unordered_map<int, RxLink>>> rx_links_;         // [dst] -> src
   std::vector<TransportStats> transport_;  // per rank
+  // Parcel storage: slabs that only grow during a run, threaded by an
+  // intrusive free list. Freed (payloads released) with the runtime.
+  std::vector<std::unique_ptr<Parcel[]>> parcel_slabs_;
+  Parcel* free_parcels_{nullptr};
+  std::size_t parcels_allocated_{0};
   std::uint64_t messages_sent_{0};
   std::uint64_t payload_bytes_{0};
 

@@ -27,9 +27,9 @@ DragonflyNetwork::DragonflyNetwork(sim::Simulation& sim, std::string name, std::
       name_(std::move(name)),
       params_(params),
       nodes_(nodes),
-      tx_(sim, name_ + ".tx", static_cast<std::size_t>(std::max(nodes, 1))),
-      rx_(sim, name_ + ".rx", static_cast<std::size_t>(std::max(nodes, 1))),
-      globals_(sim, name_) {
+      tx_(sim, static_cast<std::size_t>(std::max(nodes, 1))),
+      rx_(sim, static_cast<std::size_t>(std::max(nodes, 1))),
+      globals_(sim) {
   if (nodes <= 0) throw std::invalid_argument("DragonflyNetwork: need at least one node");
   if (params_.group_size < 1 || params_.global_links_per_pair < 1) {
     throw std::invalid_argument("DragonflyNetwork: group_size and global links must be >= 1");
@@ -76,9 +76,7 @@ sim::TimePoint DragonflyNetwork::transfer(NodeId src, NodeId dst, std::int64_t b
     // Minimal route: one global cable of the (gs, gd) bundle, chosen
     // deterministically by destination, then the destination group switch.
     const std::int32_t cable = dst % params_.global_links_per_pair;
-    auto& glink = globals_.at(global_key(gs, gd, cable), [&] {
-      return ".g" + std::to_string(gs) + "-" + std::to_string(gd) + "." + std::to_string(cable);
-    });
+    auto& glink = globals_.at(global_key(gs, gd, cable));
     const sim::Duration g_ser = serialization(bytes, params_.global_rate_bps);
     const sim::TimePoint done = glink.reserve_from(head, g_ser);
     head = done - g_ser + params_.global_latency + params_.switch_latency;

@@ -29,9 +29,9 @@ FatTreeNetwork::FatTreeNetwork(sim::Simulation& sim, std::string name, std::int3
       name_(std::move(name)),
       params_(params),
       nodes_(nodes),
-      tx_(sim, name_ + ".tx", static_cast<std::size_t>(std::max(nodes, 1))),
-      rx_(sim, name_ + ".rx", static_cast<std::size_t>(std::max(nodes, 1))),
-      links_(sim, name_) {
+      tx_(sim, static_cast<std::size_t>(std::max(nodes, 1))),
+      rx_(sim, static_cast<std::size_t>(std::max(nodes, 1))),
+      links_(sim) {
   if (nodes <= 0) throw std::invalid_argument("FatTreeNetwork: need at least one node");
   if (params_.arity < 2 || params_.levels < 1 || params_.uplinks < 1) {
     throw std::invalid_argument("FatTreeNetwork: arity >= 2, levels >= 1, uplinks >= 1");
@@ -116,20 +116,14 @@ sim::TimePoint FatTreeNetwork::transfer(NodeId src, NodeId dst, std::int64_t byt
     const sim::Duration up_ser = serialization(bytes, params_.uplink_rate_bps);
     for (std::int32_t l = 1; l <= meet; ++l) {
       const std::int64_t sw = src / span_[static_cast<std::size_t>(l)];
-      auto& up = links_.at(link_key(true, l, sw, plane), [&] {
-        return ".up" + std::to_string(l) + "." + std::to_string(sw) + ".p" +
-               std::to_string(plane);
-      });
+      auto& up = links_.at(link_key(true, l, sw, plane));
       const sim::TimePoint done = up.reserve_from(head, up_ser);
       head = done - up_ser + params_.switch_latency;
       stream_ser = std::max(stream_ser, up_ser);
     }
     for (std::int32_t l = meet; l >= 1; --l) {
       const std::int64_t sw = dst / span_[static_cast<std::size_t>(l)];
-      auto& down = links_.at(link_key(false, l, sw, plane), [&] {
-        return ".down" + std::to_string(l) + "." + std::to_string(sw) + ".p" +
-               std::to_string(plane);
-      });
+      auto& down = links_.at(link_key(false, l, sw, plane));
       const sim::TimePoint done = down.reserve_from(head, up_ser);
       head = done - up_ser + params_.switch_latency;
       stream_ser = std::max(stream_ser, up_ser);

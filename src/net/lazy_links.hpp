@@ -2,16 +2,15 @@
 //
 // A hierarchical fabric for P=4096 hosts has tens of thousands of potential
 // link resources, but any one cell only exercises the links its traffic
-// actually crosses. Constructing every SerialResource (and its name string)
-// up front would make cluster setup O(links) in both time and memory;
-// creating each resource on first reservation keeps per-rank state
-// O(active). Creation order does not affect results: a SerialResource is
-// born idle, exactly as an eagerly-created one would be at first use.
+// actually crosses. Constructing every SerialResource up front would make
+// cluster setup O(links) in both time and memory; creating each resource on
+// first reservation keeps per-rank state O(active). Creation order does not
+// affect results: a SerialResource is born idle, exactly as an eagerly-created
+// one would be at first use.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -23,19 +22,13 @@ namespace pdc::net {
 /// Sparse pool of SerialResources keyed by a 64-bit link id.
 class LazyResourceMap {
  public:
-  LazyResourceMap(sim::Simulation& sim, std::string prefix)
-      : sim_(sim), prefix_(std::move(prefix)) {}
+  explicit LazyResourceMap(sim::Simulation& sim) : sim_(sim) {}
 
-  /// The resource for `key`, created on first use. `describe` renders the
-  /// human-readable name suffix and is only invoked on that first use, so
-  /// the string formatting cost is paid once per *active* link.
-  template <typename Describe>
-  [[nodiscard]] sim::SerialResource& at(std::uint64_t key, Describe&& describe) {
+  /// The resource for `key`, created on first use.
+  [[nodiscard]] sim::SerialResource& at(std::uint64_t key) {
     auto it = links_.find(key);
     if (it == links_.end()) {
-      it = links_
-               .emplace(key, std::make_unique<sim::SerialResource>(sim_, prefix_ + describe()))
-               .first;
+      it = links_.emplace(key, std::make_unique<sim::SerialResource>(sim_)).first;
     }
     return *it->second;
   }
@@ -45,7 +38,6 @@ class LazyResourceMap {
 
  private:
   sim::Simulation& sim_;
-  std::string prefix_;
   std::unordered_map<std::uint64_t, std::unique_ptr<sim::SerialResource>> links_;
 };
 
@@ -54,14 +46,11 @@ class LazyResourceMap {
 /// 8192). The vector of null pointers is one allocation at construction.
 class LazyPortArray {
  public:
-  LazyPortArray(sim::Simulation& sim, std::string prefix, std::size_t count)
-      : sim_(sim), prefix_(std::move(prefix)), ports_(count) {}
+  LazyPortArray(sim::Simulation& sim, std::size_t count) : sim_(sim), ports_(count) {}
 
   [[nodiscard]] sim::SerialResource& at(std::size_t i) {
     auto& slot = ports_[i];
-    if (!slot) {
-      slot = std::make_unique<sim::SerialResource>(sim_, prefix_ + std::to_string(i));
-    }
+    if (!slot) slot = std::make_unique<sim::SerialResource>(sim_);
     return *slot;
   }
 
@@ -74,7 +63,6 @@ class LazyPortArray {
 
  private:
   sim::Simulation& sim_;
-  std::string prefix_;
   std::vector<std::unique_ptr<sim::SerialResource>> ports_;
 };
 

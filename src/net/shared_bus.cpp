@@ -8,7 +8,7 @@
 namespace pdc::net {
 
 SharedBusNetwork::SharedBusNetwork(sim::Simulation& sim, std::string name, SharedBusParams params)
-    : sim_(sim), name_(std::move(name)), params_(params), channel_(sim, name_ + ".channel") {}
+    : sim_(sim), name_(std::move(name)), params_(params), channel_(sim) {}
 
 std::int64_t SharedBusNetwork::frames_for(std::int64_t bytes) const noexcept {
   if (bytes <= 0) return 1;  // zero-payload message still sends one frame

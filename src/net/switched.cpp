@@ -14,11 +14,11 @@ SwitchedNetwork::SwitchedNetwork(sim::Simulation& sim, std::string name, std::in
       name_(std::move(name)),
       params_(params),
       nodes_(nodes),
-      tx_(sim, name_ + ".tx", static_cast<std::size_t>(std::max(nodes, 1))),
-      rx_(sim, name_ + ".rx", static_cast<std::size_t>(std::max(nodes, 1))) {
+      tx_(sim, static_cast<std::size_t>(std::max(nodes, 1))),
+      rx_(sim, static_cast<std::size_t>(std::max(nodes, 1))) {
   if (nodes <= 0) throw std::invalid_argument("SwitchedNetwork: need at least one node");
   if (params_.trunk_split) {
-    trunk_ = std::make_unique<sim::SerialResource>(sim, name_ + ".trunk");
+    trunk_ = std::make_unique<sim::SerialResource>(sim);
   }
 }
 

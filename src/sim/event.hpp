@@ -4,9 +4,14 @@
 // `schedule_resume`, mailbox wake-up and delay is one), so `Event` stores a
 // bare `std::coroutine_handle` for that case and dispatches it with a direct
 // `resume()` -- no type erasure, no indirection, no allocation. Arbitrary
-// callables are carried in a small inline buffer (relocated by memcpy when
+// callables are carried in a 16-byte inline buffer (relocated by memcpy when
 // trivially copyable); only callables larger than the buffer spill to one
 // block from the thread-local FramePool freelist (malloc-free once warm).
+//
+// The budget is two words because every event the kernel schedules needs no
+// more: the mp runtime's message hops capture one `Parcel*` (plus at most
+// one scalar), and a coroutine resume is one handle. An event is 24 bytes,
+// so an event-queue entry (time, sequence, event) is 40.
 #pragma once
 
 #include <coroutine>
@@ -23,10 +28,11 @@ namespace pdc::sim {
 
 class Event {
  public:
-  /// Inline capture budget: all the storage the max-aligned union occupies
-  /// anyway. It holds the runtime's per-message mailbox delivery closure (a
-  /// pointer, a rank and a Message: 48 bytes) without spilling.
-  static constexpr std::size_t kInlineBytes = 48;
+  /// Inline capture budget: two pointers, 8-byte aligned. It holds every
+  /// mp message hop (a `Parcel*` and at most one more word) and a lone
+  /// `shared_ptr` without spilling.
+  static constexpr std::size_t kInlineBytes = 16;
+  static constexpr std::size_t kInlineAlign = 8;
 
   Event() noexcept : handle_(nullptr) {}
 
@@ -43,12 +49,11 @@ class Event {
              std::is_invocable_r_v<void, std::remove_cvref_t<F>&>)
   Event(F&& f) {
     using Fn = std::remove_cvref_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t) &&
+    if constexpr (sizeof(Fn) <= kInlineBytes && alignof(Fn) <= kInlineAlign &&
                   std::is_trivially_copyable_v<Fn>) {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
       ops_ = &kTrivialOps<Fn>;
-    } else if constexpr (sizeof(Fn) <= kInlineBytes &&
-                         alignof(Fn) <= alignof(std::max_align_t) &&
+    } else if constexpr (sizeof(Fn) <= kInlineBytes && alignof(Fn) <= kInlineAlign &&
                          std::is_nothrow_move_constructible_v<Fn>) {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
       ops_ = &kInlineOps<Fn>;
@@ -157,13 +162,13 @@ class Event {
 
   union {
     std::coroutine_handle<> handle_;
-    alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
+    alignas(kInlineAlign) unsigned char storage_[kInlineBytes];
   };
   const Ops* ops_{nullptr};  // nullptr: coroutine resume (or empty)
 };
 
 // The inline budget fills the aligned union exactly: one more byte of budget
 // would grow every queued event by a whole alignment step.
-static_assert(sizeof(Event) == 64);
+static_assert(sizeof(Event) == 24);
 
 }  // namespace pdc::sim

@@ -2,15 +2,11 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <utility>
 
 #include "sim/simulation.hpp"
 #include "sim/task.hpp"
 
 namespace pdc::sim {
-
-SerialResource::SerialResource(Simulation& sim, std::string name)
-    : sim_(sim), name_(std::move(name)) {}
 
 TimePoint SerialResource::reserve(Duration service) {
   return reserve_from(sim_.now(), service);

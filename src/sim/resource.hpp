@@ -13,7 +13,6 @@
 #include <coroutine>
 #include <cstdint>
 #include <deque>
-#include <string>
 
 #include "sim/task.hpp"
 #include "sim/time.hpp"
@@ -24,7 +23,7 @@ class Simulation;
 
 class SerialResource {
  public:
-  SerialResource(Simulation& sim, std::string name);
+  explicit SerialResource(Simulation& sim) : sim_(sim) {}
 
   /// Reserve `service` time on the resource; returns the completion time.
   /// The caller is responsible for `co_await sim.delay_until(t)` if it needs
@@ -47,14 +46,12 @@ class SerialResource {
   [[nodiscard]] Duration busy_time() const noexcept { return busy_accum_; }
   [[nodiscard]] TimePoint busy_until() const noexcept { return busy_until_; }
   [[nodiscard]] std::uint64_t requests() const noexcept { return requests_; }
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
   /// Forget queued work (used by failure-injection tests).
   void reset();
 
  private:
   Simulation& sim_;
-  std::string name_;
   TimePoint busy_until_{TimePoint::origin()};
   Duration busy_accum_{Duration::zero()};
   std::uint64_t requests_{0};

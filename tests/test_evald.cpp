@@ -595,6 +595,37 @@ TEST(Store, ModelNineFixtureReplaysByteEqualAndSurvivesEveryTruncation) {
   ::unlink(path.c_str());
 }
 
+TEST(Store, CorruptMiddleRecordIsReportedAndTheRepairedLogReplays) {
+  // One bad byte in the fixture's second record: replay keeps the first
+  // record, cuts the rest, and says how much it cut.
+  std::vector<std::byte> log = read_file(PDC_TEST_DATA_DIR "/store_model9.pdce");
+  const std::vector<CellSpec> specs = fixture_specs();
+  const std::vector<std::byte> first_spec = eval::encode_spec(specs[0]);
+  const std::size_t first_end =
+      16 + 4 + 17 + first_spec.size() + eval::encode_result(eval::run_cell(specs[0])).size() + 4;
+  const std::vector<std::byte> second_spec = eval::encode_spec(specs[1]);
+  log[first_end + 4 + 17 + second_spec.size() / 2] ^= std::byte{0x40};  // inside its spec
+
+  const std::string path = scratch_path("corrupt-middle");
+  write_file(path, log);
+  const auto later = as_bytes("appended-after-the-repair");
+  {
+    Store store(path, eval::kModelVersion);
+    EXPECT_EQ(store.stats().recovered, 1u);
+    EXPECT_EQ(store.stats().truncated_bytes, log.size() - first_end);
+    EXPECT_EQ(store.stats().log_bytes, first_end);
+    EXPECT_TRUE(store.lookup(eval::cell_key(first_spec), first_spec).has_value());
+    EXPECT_FALSE(store.lookup(eval::cell_key(second_spec), second_spec).has_value());
+    store.insert(eval::cell_key(later), later, later, false);
+  }
+  const Store reopened(path, eval::kModelVersion);
+  EXPECT_EQ(reopened.stats().recovered, 2u);
+  EXPECT_EQ(reopened.stats().truncated_bytes, 0u);
+  EXPECT_TRUE(reopened.lookup(eval::cell_key(first_spec), first_spec).has_value());
+  EXPECT_TRUE(reopened.lookup(eval::cell_key(later), later).has_value());
+  ::unlink(path.c_str());
+}
+
 // -- framing edge cases over a real socket ----------------------------------
 
 class LiveServer {

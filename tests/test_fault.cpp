@@ -252,6 +252,20 @@ TEST(FaultRecovery, PermanentOutageRaisesTransportFailure) {
   EXPECT_THROW(mp::run_spmd(PlatformId::SunEthernet, 2, ToolKind::P4,
                             ordered_stream_program(2, &received), plan),
                mp::TransportFailure);
+
+  // The messages stranded in flight by the throw release their payloads.
+  const mp::Payload held = mp::make_payload(mp::Bytes(2048, std::byte{7}));
+  auto program = [&held](mp::Communicator& c) -> sim::Task<void> {
+    if (c.rank() == 0) {
+      for (int i = 0; i < 3; ++i) co_await c.send(1, 5, held);
+    }
+    (void)co_await c.recv(1 - c.rank(), 6);
+  };
+  for (const ToolKind tool : {ToolKind::P4, ToolKind::Express, ToolKind::Pvm}) {
+    EXPECT_THROW(mp::run_spmd(PlatformId::SunEthernet, 2, tool, program, plan),
+                 mp::TransportFailure);
+    EXPECT_EQ(held.use_count(), 1) << mp::to_string(tool);
+  }
 }
 
 // ---------- determinism -----------------------------------------------------

@@ -12,6 +12,7 @@
 #include "mp/communicator.hpp"
 #include "mp/native.hpp"
 #include "mp/pack.hpp"
+#include "sim/frame_pool.hpp"
 
 namespace pdc::mp {
 namespace {
@@ -477,6 +478,84 @@ TEST(RunSpmd, ReportsCountersAndValidatesArgs) {
     co_await c.send(99, 1, empty_payload());
   };
   EXPECT_THROW(run_spmd(PlatformId::Sp1Switch, 2, ToolKind::P4, bad), std::out_of_range);
+}
+
+// ---------- one parcel per message ------------------------------------------
+
+/// 200 messages: rank 0 sends `held` 100 times and rank 1 echoes each back.
+RankProgram ping_pong_program(const Payload& held) {
+  return [held](Communicator& c) -> sim::Task<void> {
+    for (int i = 0; i < 100; ++i) {
+      if (c.rank() == 0) {
+        co_await c.send(1, 3, held);
+        (void)co_await c.recv(1, 4);
+      } else {
+        Message m = co_await c.recv(0, 3);
+        co_await c.send(0, 4, std::move(m.data));
+      }
+    }
+  };
+}
+
+TEST(Parcel, PingPongTakesTwoFramePoolBlocksPerMessage) {
+  // Per message the FramePool serves send()'s and recv()'s coroutine frames
+  // and nothing else: every event on the message's path (engine and daemon
+  // hops, wire, stacks, handoff, delivery, and on a faulty wire the
+  // transport's frames, timers and acks) fits the event's inline budget.
+  // The 0.01 is the two root processes over 200 messages.
+  const Payload held = make_payload(Bytes(1024, std::byte{0x5A}));
+  for (const bool faulty : {false, true}) {
+    for (const ToolKind tool : {ToolKind::P4, ToolKind::Express, ToolKind::Pvm}) {
+      auto& pool = sim::FramePool::local();
+      pool.reset_stats();
+      const auto out =
+          run_spmd(PlatformId::SunEthernet, 2, tool, ping_pong_program(held),
+                   faulty ? fault::FaultPlan::uniform(0.05) : fault::FaultPlan{});
+      ASSERT_EQ(out.messages, 200u);
+      if (faulty) {
+        EXPECT_GT(out.transport.retransmits, 0);
+      }
+      const double per_message =
+          static_cast<double>(pool.stats().hits + pool.stats().misses) / 200.0;
+      EXPECT_LE(per_message, 2.01) << to_string(tool) << (faulty ? " faulty" : " bare");
+    }
+  }
+  EXPECT_EQ(held.use_count(), 1);
+}
+
+TEST(Parcel, BudgetTripReleasesInFlightPayloads) {
+  const Payload held = make_payload(Bytes(4096, std::byte{1}));
+  {
+    sim::Simulation simulation;
+    host::Cluster cluster(simulation, PlatformId::SunEthernet, 8);
+    Runtime runtime(cluster, ToolKind::Pvm);
+    auto ring = [&held](Communicator& c) -> sim::Task<void> {
+      for (int r = 0; r < 10; ++r) {
+        co_await c.send((c.rank() + 1) % c.size(), r, held);
+        (void)co_await c.recv((c.rank() + c.size() - 1) % c.size(), r);
+      }
+    };
+    for (int r = 0; r < 8; ++r) simulation.spawn(ring(runtime.comm(r)));
+    simulation.set_event_budget(60);
+    EXPECT_THROW(simulation.run(), sim::EventBudgetExceeded);
+    EXPECT_GT(held.use_count(), 1);  // parcels were mid-flight at the trip
+  }
+  EXPECT_EQ(held.use_count(), 1);
+}
+
+TEST(Parcel, DeadlockReleasesUnmatchedPayloads) {
+  const Payload held = make_payload(Bytes(512, std::byte{2}));
+  auto program = [&held](Communicator& c) -> sim::Task<void> {
+    if (c.rank() == 0) {
+      co_await c.send(1, 1, held);
+      co_await c.send(1, 1, held);
+    } else {
+      (void)co_await c.recv(0, 2);  // never sent: the run deadlocks
+    }
+  };
+  EXPECT_THROW(run_spmd(PlatformId::SunEthernet, 2, ToolKind::Express, program),
+               sim::DeadlockDetected);
+  EXPECT_EQ(held.use_count(), 1);
 }
 
 }  // namespace

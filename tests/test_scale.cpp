@@ -119,8 +119,9 @@ TEST(AllocsPerRank, FlatUpTo4096) {
   // Recursive doubling does log2(P) rounds per rank, so raw allocs-per-rank
   // legitimately grows ~1.5x from 256 (8 rounds) to 4096 (12 rounds);
   // normalising by rounds removes that. One residual super-linear term is
-  // benign and bounded: the thread-local buffer/frame pools retain a fixed
-  // 64 entries per class while peak live payloads is O(P) (every rank holds
+  // benign and bounded: the thread-local pools retain a fixed number of
+  // blocks per class (BufferPool 64 buffers and 256 nodes, FramePool 128
+  // frames) while peak live payloads and frames are O(P) (every rank holds
   // one in-flight message), so the pool hit rate decays toward zero and
   // saturates around P=1024. Gate on the saturated region: 1024 -> 4096
   // must be flat, and 256 -> 4096 comfortably under 2x -- an O(P) per-rank

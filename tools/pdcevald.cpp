@@ -10,6 +10,7 @@
 // the daemon side too.
 #include <signal.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -66,6 +67,10 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(boot.model_version));
     if (boot.recovered > 0) {
       std::printf(", %llu cells recovered", static_cast<unsigned long long>(boot.recovered));
+    }
+    if (const std::uint64_t cut = server.store().stats().truncated_bytes; cut > 0) {
+      std::printf(", %llu log bytes truncated at a torn or corrupt record",
+                  static_cast<unsigned long long>(cut));
     }
     std::printf(")\n");
     std::fflush(stdout);
