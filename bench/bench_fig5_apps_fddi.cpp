@@ -3,7 +3,8 @@
 //
 // Expected shape (paper): p4 best for JPEG and 2D-FFT (communication-
 // heavy); PVM best for Sorting (asynchronous buffered all-to-all); Express
-// best for Monte Carlo (cheap excombine/exsync in the Alpha native port).
+// best for Monte Carlo (cheap recursive-doubling excombine in the Alpha
+// native port).
 #include "apl_table.hpp"
 
 int main() {

@@ -28,7 +28,6 @@ mp::ToolProfile mpi_prototype(host::PlatformId platform) {
   p.collective_step = p.collective_step / 2;
   p.broadcast_algo = mp::ToolProfile::BroadcastAlgo::BinomialTree;
   p.reduce_algo = mp::ToolProfile::ReduceAlgo::RecursiveDoubling;
-  p.barrier_algo = mp::ToolProfile::BarrierAlgo::Dissemination;
   return p;
 }
 

@@ -23,15 +23,6 @@ constexpr int kBaseQuant[kBlock * kBlock] = {
     49, 64, 78, 87, 103, 121, 120, 101,  //
     72, 92, 95, 98, 112, 100, 103, 99};
 
-// Zigzag scan order for an 8x8 block.
-constexpr int kZigzag[kBlock * kBlock] = {
-    0,  1,  8,  16, 9,  2,  3,  10, 17, 24, 32, 25, 18, 11, 4,  5,   //
-    12, 19, 26, 33, 40, 48, 41, 34, 27, 20, 13, 6,  7,  14, 21, 28,  //
-    35, 42, 49, 56, 57, 50, 43, 36, 29, 22, 15, 23, 30, 37, 44, 51,  //
-    58, 59, 52, 45, 38, 31, 39, 46, 53, 60, 61, 54, 47, 55, 62, 63};
-
-constexpr std::int16_t kEndOfBlock = std::int16_t{-32768};
-
 }  // namespace
 
 Image make_test_image(int width, int height, std::uint64_t seed) {
@@ -59,10 +50,6 @@ Image make_test_image(int width, int height, std::uint64_t seed) {
 
 void forward_dct(const double in[kBlock][kBlock], double out[kBlock][kBlock]) {
   kernels::forward_dct(in, out);
-}
-
-void inverse_dct(const double in[kBlock][kBlock], double out[kBlock][kBlock]) {
-  kernels::inverse_dct(in, out);
 }
 
 std::array<int, kBlock * kBlock> quant_table(int quality) {
@@ -146,62 +133,6 @@ std::vector<std::int16_t> compress_rows(const Image& img, int row_begin, int row
 
 std::vector<std::int16_t> compress(const Image& img, int quality) {
   return compress_rows(img, 0, img.height, quality);
-}
-
-Image decompress(std::span<const std::int16_t> stream, int width, int height, int quality) {
-  if (width % kBlock != 0 || height % kBlock != 0) {
-    throw std::invalid_argument("decompress: bad dimensions");
-  }
-  kernels::ScopedHostWork probe;
-  BlockScratch scratch(quality);
-  Image img{width, height,
-            std::vector<std::uint8_t>(static_cast<std::size_t>(width) *
-                                      static_cast<std::size_t>(height))};
-  std::size_t pos = 0;
-  for (int by = 0; by < height; by += kBlock) {
-    for (int bx = 0; bx < width; bx += kBlock) {
-      for (auto& row : scratch.coeffs) {
-        for (double& c : row) c = 0.0;
-      }
-      int i = 0;
-      while (true) {
-        if (pos >= stream.size()) throw std::invalid_argument("decompress: truncated stream");
-        const std::int16_t sym = stream[pos++];
-        if (sym == kEndOfBlock) break;
-        if (pos >= stream.size()) throw std::invalid_argument("decompress: truncated pair");
-        i += sym;  // zero run
-        if (i >= kBlock * kBlock) throw std::invalid_argument("decompress: run overflow");
-        const int idx = kZigzag[i];
-        scratch.coeffs[idx / kBlock][idx % kBlock] =
-            static_cast<double>(stream[pos++]) * scratch.quant[idx];
-        ++i;
-      }
-      inverse_dct(scratch.coeffs, scratch.block);
-      for (int x = 0; x < kBlock; ++x) {
-        for (int y = 0; y < kBlock; ++y) {
-          img.pixels[static_cast<std::size_t>(by + x) * static_cast<std::size_t>(width) +
-                     static_cast<std::size_t>(bx + y)] =
-              static_cast<std::uint8_t>(std::clamp(scratch.block[x][y] + 128.0, 0.0, 255.0));
-        }
-      }
-    }
-  }
-  if (pos != stream.size()) throw std::invalid_argument("decompress: trailing data");
-  return img;
-}
-
-double psnr(const Image& a, const Image& b) {
-  if (a.width != b.width || a.height != b.height) {
-    throw std::invalid_argument("psnr: size mismatch");
-  }
-  double mse = 0.0;
-  for (std::size_t i = 0; i < a.pixels.size(); ++i) {
-    const double d = static_cast<double>(a.pixels[i]) - static_cast<double>(b.pixels[i]);
-    mse += d * d;
-  }
-  mse /= static_cast<double>(a.pixels.size());
-  if (mse == 0.0) return 99.0;
-  return 10.0 * std::log10(255.0 * 255.0 / mse);
 }
 
 }  // namespace pdc::apps::jpeg

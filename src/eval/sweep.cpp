@@ -271,7 +271,7 @@ void parallel_for_index(std::size_t n, unsigned threads,
   }
 
   // Publish this sweep's totals on the submitting thread. run_on's drain
-  // barrier (and the serial path trivially) gives the happens-before edge
+  // wait (and the serial path trivially) gives the happens-before edge
   // from every worker's fold to this read.
   t_last_sweep = col;
 

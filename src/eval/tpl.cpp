@@ -70,14 +70,6 @@ std::optional<double> global_sum_ms(host::PlatformId platform, mp::ToolKind tool
   return mp::run_spmd(platform, procs, tool, program, faults).elapsed.millis();
 }
 
-double barrier_ms(host::PlatformId platform, mp::ToolKind tool, int procs, int reps,
-                  const fault::FaultPlan& faults) {
-  auto program = [reps](mp::Communicator& c) -> sim::Task<void> {
-    for (int i = 0; i < reps; ++i) co_await c.barrier();
-  };
-  return mp::run_spmd(platform, procs, tool, program, faults).elapsed.millis() / reps;
-}
-
 const std::vector<std::int64_t>& paper_message_sizes() {
   static const std::vector<std::int64_t> kSizes = {0,    1024,  2048,  4096,
                                                    8192, 16384, 32768, 65536};

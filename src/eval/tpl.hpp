@@ -41,12 +41,6 @@ namespace pdc::eval {
                                                   int procs, std::int64_t n_integers,
                                                   const fault::FaultPlan& faults = {});
 
-/// Mean time per full barrier over `reps` back-to-back barriers across
-/// `procs` ranks -- the paper's synchronisation-primitive category
-/// (exsync / pvm_barrier / p4 tree, Section 2.1 item 2).
-[[nodiscard]] double barrier_ms(host::PlatformId platform, mp::ToolKind tool, int procs,
-                                int reps = 8, const fault::FaultPlan& faults = {});
-
 /// The message sizes of paper Table 3 / Figures 2-3: 0..64 KB.
 [[nodiscard]] const std::vector<std::int64_t>& paper_message_sizes();
 

@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -18,6 +19,9 @@ namespace {
 constexpr std::uint32_t kMagic = 0x45434450u;  // "PDCE" little-endian
 constexpr std::uint32_t kFormat = 1;
 constexpr std::size_t kHeaderBytes = 16;
+/// Header bytes that say "this is a store": magic and format. The version
+/// that follows may be any.
+constexpr std::size_t kIdentBytes = 8;
 
 constexpr std::uint8_t kRecEntry = 1;
 constexpr std::uint8_t kRecNegative = 2;
@@ -75,7 +79,12 @@ Store::Store(std::string path, std::uint64_t model_version)
   if (path_.empty()) return;
   fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
   if (fd_ < 0) throw std::runtime_error("evald::Store: cannot open " + path_);
-  load_log_locked();
+  try {
+    load_log_locked();
+  } catch (...) {
+    ::close(fd_);
+    throw;
+  }
 }
 
 Store::~Store() {
@@ -99,7 +108,20 @@ void Store::load_log_locked() {
   struct stat st{};
   if (::fstat(fd_, &st) != 0) throw std::runtime_error("evald::Store: fstat failed");
   const auto size = static_cast<std::size_t>(st.st_size);
+  const auto foreign = [&] {
+    return std::runtime_error("evald::Store: " + path_ +
+                              " is not a store (bad magic or format); left untouched");
+  };
   if (size < kHeaderBytes) {
+    // Empty, or a creation cut short by a crash: its bytes must be a prefix
+    // of a valid header. Anything else is someone else's file.
+    const auto expected =
+        eval::encode_with(LogHeader{kMagic, kFormat, model_version_}, header_fields);
+    std::byte head[kHeaderBytes];
+    if (::pread(fd_, head, size, 0) != static_cast<ssize_t>(size)) {
+      throw std::runtime_error("evald::Store: cannot read " + path_);
+    }
+    if (std::memcmp(head, expected.data(), std::min(size, kIdentBytes)) != 0) throw foreign();
     reset_log_locked();
     return;
   }
@@ -109,14 +131,17 @@ void Store::load_log_locked() {
   const std::span<const std::byte> log(static_cast<const std::byte*>(map), size);
 
   const auto header = eval::decode_with<LogHeader>(log.first(kHeaderBytes), header_fields);
-  const bool header_ok = header && header->magic == kMagic && header->format == kFormat;
-  const bool version_ok = header_ok && header->version == model_version_;
+  if (!header || header->magic != kMagic || header->format != kFormat) {
+    ::munmap(map, size);
+    throw foreign();
+  }
+  const bool version_ok = header->version == model_version_;
 
   // Replay every intact record; stop at the first torn or corrupt one (a
   // crashed writer leaves at most a broken tail) and truncate it away.
   std::size_t valid_end = kHeaderBytes;
   std::uint64_t replayed = 0;
-  while (header_ok) {
+  for (;;) {
     const auto payload = unframe(log.subspan(valid_end), kMaxRecordPayload);
     if (!payload) break;
     const auto rec = eval::decode_with<LogRecord>(*payload, record_fields);
@@ -134,8 +159,8 @@ void Store::load_log_locked() {
   }
   ::munmap(map, size);
 
-  if (!version_ok || !header_ok) {
-    // Different model version (or foreign file): never serve its bytes.
+  if (!version_ok) {
+    // Different model version: never serve its bytes.
     stats_.discarded_stale += replayed;
     reset_log_locked();
     return;

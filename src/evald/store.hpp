@@ -60,7 +60,9 @@ class Store {
  public:
   /// Open (or create) the store at `path`; an empty path keeps the store
   /// purely in memory. Throws std::runtime_error when the file cannot be
-  /// opened or created.
+  /// opened or created, or when it is not a store: a bad magic or format
+  /// leaves the file untouched. Only an empty file, or one holding a prefix
+  /// of a header (a creation cut short), is (re)initialised.
   explicit Store(std::string path = {}, std::uint64_t model_version = 0);
   ~Store();
   Store(const Store&) = delete;

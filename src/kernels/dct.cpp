@@ -21,13 +21,11 @@ DctTables build_tables() {
   for (int x = 0; x < kDctBlock; ++x) {
     for (int u = 0; u < kDctBlock; ++u) {
       t.cos_xu[x][u] = ref_cos(x, u);
-      t.cos_ux[u][x] = t.cos_xu[x][u];
     }
   }
   for (int u = 0; u < kDctBlock; ++u) {
     for (int v = 0; v < kDctBlock; ++v) {
       t.scale[u][v] = (0.25 * ref_alpha(u)) * ref_alpha(v);
-      t.alpha2[u][v] = ref_alpha(u) * ref_alpha(v);
     }
   }
   return t;
@@ -67,38 +65,6 @@ void forward_dct_scalar(const double in[kDctBlock][kDctBlock],
   }
 }
 
-void inverse_dct_scalar(const double in[kDctBlock][kDctBlock],
-                        double out[kDctBlock][kDctBlock]) noexcept {
-  const DctTables& t = dct_tables();
-  // Hoisted per-(u,v) factor: ((alpha(u)*alpha(v)) * in[u][v]).
-  double w[kDctBlock][kDctBlock];
-  for (int u = 0; u < kDctBlock; ++u) {
-    for (int v = 0; v < kDctBlock; ++v) {
-      w[u][v] = t.alpha2[u][v] * in[u][v];
-    }
-  }
-  // acc[x][y] accumulates the reference's per-(x,y) sum in (u asc, v asc)
-  // order; each addend is (w[u][v] * cos(x,u)) * cos(y,v).
-  double acc[kDctBlock][kDctBlock] = {};
-  for (int u = 0; u < kDctBlock; ++u) {
-    for (int v = 0; v < kDctBlock; ++v) {
-      const double wuv = w[u][v];
-      const double* cvy = t.cos_ux[v];  // cos(y, v), contiguous over y
-      for (int x = 0; x < kDctBlock; ++x) {
-        const double txu = wuv * t.cos_xu[x][u];
-        for (int y = 0; y < kDctBlock; ++y) {
-          acc[x][y] += txu * cvy[y];
-        }
-      }
-    }
-  }
-  for (int x = 0; x < kDctBlock; ++x) {
-    for (int y = 0; y < kDctBlock; ++y) {
-      out[x][y] = 0.25 * acc[x][y];
-    }
-  }
-}
-
 void forward_dct(const double in[kDctBlock][kDctBlock],
                  double out[kDctBlock][kDctBlock]) noexcept {
 #if defined(PDC_HAVE_AVX2)
@@ -108,17 +74,6 @@ void forward_dct(const double in[kDctBlock][kDctBlock],
   }
 #endif
   forward_dct_scalar(in, out);
-}
-
-void inverse_dct(const double in[kDctBlock][kDctBlock],
-                 double out[kDctBlock][kDctBlock]) noexcept {
-#if defined(PDC_HAVE_AVX2)
-  if (active_isa() == Isa::Avx2) {
-    detail::inverse_dct_avx2(in, out);
-    return;
-  }
-#endif
-  inverse_dct_scalar(in, out);
 }
 
 }  // namespace pdc::kernels

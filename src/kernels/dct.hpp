@@ -1,4 +1,4 @@
-// pdceval -- fast order-preserving 8x8 DCT-II / IDCT kernels.
+// pdceval -- fast order-preserving 8x8 DCT-II kernel.
 //
 // The JPEG app's naive reference (kernels::ref) evaluates std::cos inside
 // the innermost loop of an O(N^4)-per-block transform: 8192 libm calls per
@@ -11,8 +11,7 @@
 //      std::cos expression) into DctTables.
 //   2. Hoisting: per-(u,v) invariants move out of inner loops, keeping the
 //      reference's left-to-right product association:
-//        forward term  (in[x][y] * cos(x,u)) * cos(y,v)
-//        inverse term  (((alpha(u)*alpha(v)) * in[u][v]) * cos(x,u)) * cos(y,v)
+//        term  (in[x][y] * cos(x,u)) * cos(y,v)
 //   3. Loop interchange over *independent accumulators*: the (x,y) / (u,v)
 //      scan order swaps so the inner dimension is contiguous, but each
 //      output coefficient still receives exactly the same addends in
@@ -30,21 +29,15 @@ namespace pdc::kernels {
 
 inline constexpr int kDctBlock = 8;
 
-/// Cosine/alpha tables shared by the forward and inverse kernels. Built
-/// once per process on first use.
+/// Cosine/scale tables of the forward kernels. Built once per process on
+/// first use.
 struct DctTables {
   /// cos_xu[x][u] = cos((2x+1) * u * pi / 16) -- same value the reference's
   /// dct_cos(x, u) returns.
   alignas(64) double cos_xu[kDctBlock][kDctBlock];
-  /// Transposed layout, cos_ux[u][x] = cos_xu[x][u], so the inverse kernel
-  /// streams contiguously over its inner dimension.
-  alignas(64) double cos_ux[kDctBlock][kDctBlock];
   /// scale[u][v] = (0.25 * alpha(u)) * alpha(v) -- the reference's output
   /// factor with its exact association.
   alignas(64) double scale[kDctBlock][kDctBlock];
-  /// alpha2[u][v] = alpha(u) * alpha(v) -- the inverse kernel's per-input
-  /// factor.
-  alignas(64) double alpha2[kDctBlock][kDctBlock];
 };
 
 [[nodiscard]] const DctTables& dct_tables() noexcept;
@@ -54,15 +47,9 @@ struct DctTables {
 void forward_dct(const double in[kDctBlock][kDctBlock],
                  double out[kDctBlock][kDctBlock]) noexcept;
 
-/// Inverse 8x8 DCT; bit-identical to kernels::ref::inverse_dct.
-void inverse_dct(const double in[kDctBlock][kDctBlock],
-                 double out[kDctBlock][kDctBlock]) noexcept;
-
-/// Undispatched scalar baselines (exposed so tests can pin SIMD == scalar
+/// Undispatched scalar baseline (exposed so tests can pin SIMD == scalar
 /// regardless of what active_isa() resolves to).
 void forward_dct_scalar(const double in[kDctBlock][kDctBlock],
-                        double out[kDctBlock][kDctBlock]) noexcept;
-void inverse_dct_scalar(const double in[kDctBlock][kDctBlock],
                         double out[kDctBlock][kDctBlock]) noexcept;
 
 }  // namespace pdc::kernels

@@ -1,14 +1,14 @@
 // pdceval -- host-work telemetry: how much wall-clock the *applications'
 // actual computation* costs, as opposed to the simulation machinery.
 //
-// Every kernel entry point (DCT strip, FFT, sort, MC batch, matmul, LU
-// update sweep) charges its wall time to a thread-local accumulator via
-// ScopedHostWork. eval::sweep snapshots the accumulator around each cell,
-// which yields the per-cell split "app compute vs sim/kernel overhead" that
-// a sweep reports fleet-wide (eval::last_sweep_host_stats; perfbench's
-// `kernels.share`). Timing is at
-// batch granularity -- one steady_clock pair per strip/call, never per
-// element -- so the probe itself stays well under 1% of kernel time.
+// Every kernel entry point (DCT strip, FFT, sort, MC batch) charges its
+// wall time to a thread-local accumulator via ScopedHostWork. eval::sweep
+// snapshots the accumulator around each cell, which yields the per-cell
+// split "app compute vs sim/kernel overhead" that a sweep reports
+// fleet-wide (eval::last_sweep_host_stats; perfbench's `kernels.share`).
+// Timing is at batch granularity -- one steady_clock pair per strip/call,
+// never per element -- so the probe itself stays well under 1% of kernel
+// time.
 #pragma once
 
 #include <chrono>

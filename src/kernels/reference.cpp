@@ -86,16 +86,4 @@ double inv_quad_sum(sim::Rng& rng, std::int64_t count) {
   return sum;
 }
 
-void matmul_rows(const double* a, int m, const double* b, int n, double* c) {
-  for (int i = 0; i < m; ++i) {
-    for (int j = 0; j < n; ++j) c[static_cast<std::size_t>(i) * n + j] = 0.0;
-    for (int k = 0; k < n; ++k) {
-      const double aik = a[static_cast<std::size_t>(i) * n + k];
-      for (int j = 0; j < n; ++j) {
-        c[static_cast<std::size_t>(i) * n + j] += aik * b[static_cast<std::size_t>(k) * n + j];
-      }
-    }
-  }
-}
-
 }  // namespace pdc::kernels::ref

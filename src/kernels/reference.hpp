@@ -2,10 +2,10 @@
 // order-preserving contract.
 //
 // These are the exact pre-kernel-layer app loops (cos in the innermost DCT
-// loop, per-stage incremental twiddles, straight triple-loop matmul, one
-// divide per MC sample). Tests assert the fast kernels reproduce them
-// bit-for-bit. They are deliberately NOT optimised -- do not "fix" them,
-// they are the contract.
+// loop, per-stage incremental twiddles, one divide per MC sample). Tests
+// assert the fast kernels reproduce them bit-for-bit. They are deliberately
+// NOT optimised -- do not "fix" them, they are the contract. The inverse
+// DCT has no fast twin: it only decodes the JPEG stream in tests.
 #pragma once
 
 #include <complex>
@@ -24,8 +24,5 @@ void fft1d(std::span<std::complex<double>> data, bool inverse);
 
 /// sum of 4/(1 + x_i^2) over `count` sequential draws from `rng`.
 [[nodiscard]] double inv_quad_sum(sim::Rng& rng, std::int64_t count);
-
-/// c[m x n] = a[m x n] * b[n x n], plain i-k-j loops.
-void matmul_rows(const double* a, int m, const double* b, int n, double* c);
 
 }  // namespace pdc::kernels::ref

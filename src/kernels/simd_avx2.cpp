@@ -45,41 +45,6 @@ void forward_dct_avx2(const double in[kDctBlock][kDctBlock],
   }
 }
 
-void inverse_dct_avx2(const double in[kDctBlock][kDctBlock],
-                      double out[kDctBlock][kDctBlock]) noexcept {
-  const DctTables& t = dct_tables();
-  // Hoisted per-(u,v) factor, as in the scalar kernel.
-  alignas(32) double w[kDctBlock][kDctBlock];
-  for (int u = 0; u < kDctBlock; ++u) {
-    const __m256d a0 = _mm256_load_pd(&t.alpha2[u][0]);
-    const __m256d a1 = _mm256_load_pd(&t.alpha2[u][4]);
-    _mm256_store_pd(&w[u][0], _mm256_mul_pd(a0, _mm256_loadu_pd(&in[u][0])));
-    _mm256_store_pd(&w[u][4], _mm256_mul_pd(a1, _mm256_loadu_pd(&in[u][4])));
-  }
-  __m256d acc[kDctBlock][2];
-  for (int x = 0; x < kDctBlock; ++x) {
-    acc[x][0] = _mm256_setzero_pd();
-    acc[x][1] = _mm256_setzero_pd();
-  }
-  for (int u = 0; u < kDctBlock; ++u) {
-    for (int v = 0; v < kDctBlock; ++v) {
-      const double wuv = w[u][v];
-      const __m256d cv0 = _mm256_load_pd(&t.cos_ux[v][0]);  // cos(y,v), y=0..3
-      const __m256d cv1 = _mm256_load_pd(&t.cos_ux[v][4]);
-      for (int x = 0; x < kDctBlock; ++x) {
-        const __m256d txu = _mm256_set1_pd(wuv * t.cos_xu[x][u]);
-        acc[x][0] = _mm256_add_pd(acc[x][0], _mm256_mul_pd(txu, cv0));
-        acc[x][1] = _mm256_add_pd(acc[x][1], _mm256_mul_pd(txu, cv1));
-      }
-    }
-  }
-  const __m256d quarter = _mm256_set1_pd(0.25);
-  for (int x = 0; x < kDctBlock; ++x) {
-    _mm256_storeu_pd(&out[x][0], _mm256_mul_pd(quarter, acc[x][0]));
-    _mm256_storeu_pd(&out[x][4], _mm256_mul_pd(quarter, acc[x][1]));
-  }
-}
-
 }  // namespace pdc::kernels::detail
 
 #endif  // PDC_HAVE_AVX2

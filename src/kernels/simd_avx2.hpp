@@ -14,8 +14,6 @@ namespace pdc::kernels::detail {
 
 void forward_dct_avx2(const double in[kDctBlock][kDctBlock],
                       double out[kDctBlock][kDctBlock]) noexcept;
-void inverse_dct_avx2(const double in[kDctBlock][kDctBlock],
-                      double out[kDctBlock][kDctBlock]) noexcept;
 
 #endif  // PDC_HAVE_AVX2
 

@@ -63,10 +63,6 @@ Handoff Communicator::direct_handoff(int dst, std::int64_t bytes) const {
                      packets_for(bytes) * p.per_packet_recv};
 }
 
-bool Communicator::probe(int src, int tag) {
-  return rt_.mailbox(rank_).poll(TagSourceMatch{src, tag});
-}
-
 sim::Task<void> Communicator::send(int dst, int tag, Payload payload) {
   if (dst < 0 || dst >= size()) throw std::out_of_range("Communicator::send: bad destination");
   const std::int64_t n = payload ? static_cast<std::int64_t>(payload->size()) : 0;
@@ -311,85 +307,6 @@ sim::Task<void> Communicator::broadcast(int root, Bytes& data, int tag) {
   if (rank_ == root) pay = make_payload(Bytes(data));  // root keeps its buffer
   co_await broadcast(root, pay, tag);
   if (rank_ != root) data = *pay;  // copy out for the owning-buffer API
-}
-
-sim::Task<void> Communicator::barrier() {
-  const CollSpan span(sim(), trace_node(rank_), trace::CollOp::Barrier);
-  const int p = size();
-  if (p == 1) co_return;
-  switch (profile().barrier_algo) {
-    case ToolProfile::BarrierAlgo::Tree:
-      co_await barrier_tree();
-      break;
-    case ToolProfile::BarrierAlgo::Coordinator:
-      co_await barrier_coordinator();
-      break;
-    case ToolProfile::BarrierAlgo::Dissemination:
-      co_await barrier_dissemination();
-      break;
-  }
-}
-
-sim::Task<void> Communicator::barrier_tree() {
-  const int p = size();
-  const auto step = profile().collective_step;
-  // Fan-in to rank 0.
-  int mask = 1;
-  while (mask < p) {
-    if (rank_ & mask) {
-      co_await sim().delay(step);
-      co_await send(rank_ - mask, kTagBarrier, empty_payload());
-      break;
-    }
-    if (rank_ + mask < p) (void)co_await recv(rank_ + mask, kTagBarrier);
-    mask <<= 1;
-  }
-  // Release fan-out from rank 0.
-  mask = 1;
-  while (mask < p) {
-    if (rank_ & mask) {
-      (void)co_await recv(rank_ - mask, kTagBarrierRelease);
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  while (mask > 0) {
-    if (rank_ + mask < p) {
-      co_await sim().delay(step);
-      co_await send(rank_ + mask, kTagBarrierRelease, empty_payload());
-    }
-    mask >>= 1;
-  }
-}
-
-sim::Task<void> Communicator::barrier_dissemination() {
-  const int p = size();
-  const auto step = profile().collective_step;
-  const int parity = barrier_seq_++ & 1;
-  for (int k = 1; k < p; k <<= 1) {
-    const int to = (rank_ + k) % p;
-    const int from = (rank_ - k + p) % p;  // k < p, so one +p suffices
-    const int tag = kTagBarrier + 2 * k + parity;
-    co_await sim().delay(step);
-    co_await send(to, tag, empty_payload());
-    (void)co_await recv(from, tag);
-  }
-}
-
-sim::Task<void> Communicator::barrier_coordinator() {
-  const int p = size();
-  const auto step = profile().collective_step;
-  if (rank_ != 0) {
-    co_await send(0, kTagBarrier, empty_payload());
-    (void)co_await recv(0, kTagBarrierRelease);
-    co_return;
-  }
-  for (int i = 1; i < p; ++i) (void)co_await recv(kAnySource, kTagBarrier);
-  for (int i = 1; i < p; ++i) {
-    co_await sim().delay(step);
-    co_await send(i, kTagBarrierRelease, empty_payload());
-  }
 }
 
 // -- global reduction --------------------------------------------------------

@@ -61,9 +61,6 @@ class Communicator {
   /// as wildcards.
   sim::Task<Message> recv(int src = kAnySource, int tag = kAnyTag);
 
-  /// Non-blocking probe.
-  [[nodiscard]] bool probe(int src = kAnySource, int tag = kAnyTag);
-
   // -- collectives ---------------------------------------------------------
 
   /// Broadcast `data` from `root` to everyone (in: root's payload; out:
@@ -76,9 +73,6 @@ class Communicator {
   /// Owning-buffer convenience overload (in: root's bytes; out: everyone's
   /// own copy). Same simulated cost; one host copy-out per receiver.
   sim::Task<void> broadcast(int root, Bytes& data, int tag);
-
-  /// Barrier: p4 tree, PVM coordinator round-trip, Express dissemination.
-  sim::Task<void> barrier();
 
   [[nodiscard]] bool has_global_sum() const noexcept {
     return profile().reduce_algo != ToolProfile::ReduceAlgo::Unsupported;
@@ -106,10 +100,6 @@ class Communicator {
   template <typename T>
   sim::Task<void> reduce_recursive_doubling(std::vector<T>& v);
 
-  sim::Task<void> barrier_tree();
-  sim::Task<void> barrier_dissemination();
-  sim::Task<void> barrier_coordinator();
-
   [[nodiscard]] std::int64_t packets_for(std::int64_t bytes) const noexcept;
   [[nodiscard]] sim::Duration send_side_cost(std::int64_t bytes) const;
   [[nodiscard]] sim::Duration daemon_service(std::int64_t bytes) const;
@@ -126,13 +116,10 @@ class Communicator {
 
   Runtime& rt_;
   int rank_;
-  int barrier_seq_{0};  // parity for dissemination-barrier tag separation
   bool route_direct_{false};
 };
 
 // Internal tags (top of the tag space; user code should stay below 1<<20).
-inline constexpr int kTagBarrier = (1 << 20) + 1;
-inline constexpr int kTagBarrierRelease = (1 << 20) + 2;
 inline constexpr int kTagReduce = (1 << 20) + 3;
 inline constexpr int kTagReduceBcast = (1 << 20) + 4;
 

@@ -58,7 +58,6 @@ ToolProfile tool_profile(ToolKind kind, host::PlatformId platform) {
       p.blocking_send = true;
       p.collective_step = scaled(220, mhz);
       p.broadcast_algo = ToolProfile::BroadcastAlgo::BinomialTree;
-      p.barrier_algo = ToolProfile::BarrierAlgo::Tree;
       p.reduce_algo = ToolProfile::ReduceAlgo::GatherBroadcastTree;
       return p;
 
@@ -76,7 +75,6 @@ ToolProfile tool_profile(ToolKind kind, host::PlatformId platform) {
       p.blocking_send = false;  // pvm_send returns once pvmd has the buffer
       p.collective_step = scaled(420, mhz);
       p.broadcast_algo = ToolProfile::BroadcastAlgo::SequentialFromRoot;  // pvm_mcast
-      p.barrier_algo = ToolProfile::BarrierAlgo::Coordinator;             // pvm_barrier
       p.reduce_algo = ToolProfile::ReduceAlgo::Unsupported;
       return p;
 
@@ -94,7 +92,6 @@ ToolProfile tool_profile(ToolKind kind, host::PlatformId platform) {
       p.per_packet_recv = scaled(600 * q, mhz);
       p.collective_step = scaled(300 * q, mhz);
       p.broadcast_algo = ToolProfile::BroadcastAlgo::SequentialFromRoot;
-      p.barrier_algo = ToolProfile::BarrierAlgo::Dissemination;    // exsync
       p.reduce_algo = ToolProfile::ReduceAlgo::RecursiveDoubling;  // excombine
       return p;
     }

@@ -8,13 +8,13 @@
 //            collectives. Lowest overheads everywhere (paper Table 4).
 //   PVM      fire-and-forget sends routed through per-host single-threaded
 //            pvmd daemons (IPC copy + per-4KB-fragment processing), XDR
-//            pack/unpack in the application, sequential mcast, barrier via
-//            coordinator, NO global reduction.
+//            pack/unpack in the application, sequential mcast, NO global
+//            reduction.
 //   Express  heavier buffer layer that packetises messages (per-packet cost
 //            split between sender and a background receive engine that
 //            overlaps with the wire -- the "continuous flow" behaviour the
 //            paper observes in the ring test), sequential broadcast, but a
-//            well-tuned excombine/exsync; its Alpha and SP-1 native ports
+//            well-tuned excombine; its Alpha and SP-1 native ports
 //            are markedly better than its SUN port (quality factor).
 //
 // Fixed costs are specified at a 33 MHz reference clock and scaled by the
@@ -74,10 +74,9 @@ struct ToolProfile {
   /// Extra fixed cost per collective tree/dissemination step.
   sim::Duration collective_step;
 
-  /// Broadcast/barrier/combine algorithm selection.
+  /// Broadcast/combine algorithm selection.
   enum class BroadcastAlgo { BinomialTree, SequentialFromRoot } broadcast_algo{
       BroadcastAlgo::BinomialTree};
-  enum class BarrierAlgo { Tree, Dissemination, Coordinator } barrier_algo{BarrierAlgo::Tree};
   enum class ReduceAlgo { GatherBroadcastTree, RecursiveDoubling, Unsupported } reduce_algo{
       ReduceAlgo::GatherBroadcastTree};
 };

@@ -175,25 +175,6 @@ class Mailbox {
     return Awaiter{*this, matcher, std::nullopt};
   }
 
-  /// Non-blocking probe: does a matching item sit in the queue?
-  [[nodiscard]] bool poll(const Matcher& matcher = {}) const {
-    if (live_ == 0) return false;
-    if (!matcher) return true;
-    if (bucket_key_ && matcher.bucket() != kAnyBucket) {
-      const auto it = buckets_.find(matcher.bucket());
-      if (it == buckets_.end()) return false;
-      for (const std::uint64_t seq : it->second) {
-        const Entry* e = entry_for(seq);
-        if (e != nullptr && e->alive && matcher(e->item)) return true;
-      }
-      return false;
-    }
-    for (const auto& e : entries_) {
-      if (e.alive && matcher(e.item)) return true;
-    }
-    return false;
-  }
-
   /// Non-blocking receive.
   [[nodiscard]] std::optional<T> try_recv(const Matcher& matcher = {}) {
     return take_matching(matcher);

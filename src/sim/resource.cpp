@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "sim/simulation.hpp"
-#include "sim/task.hpp"
 
 namespace pdc::sim {
 
@@ -28,28 +27,6 @@ TimePoint SerialResource::reserve_pipelined(Duration service, Duration latency) 
   const TimePoint start = std::max(busy_until_, sim_.now());
   reserve_from(start, service);
   return start + latency;
-}
-
-void SerialResource::reset() {
-  busy_until_ = sim_.now();
-}
-
-void FifoLock::release() {
-  if (!locked_) throw std::logic_error("FifoLock::release: not locked");
-  if (waiters_.empty()) {
-    locked_ = false;
-    return;
-  }
-  // Hand the lock directly to the next waiter; resume it via the scheduler
-  // so release() never runs user code inline.
-  auto next = waiters_.front();
-  waiters_.pop_front();
-  sim_.schedule_resume(sim_.now(), next);
-}
-
-Task<ScopedLock> ScopedLock::take(FifoLock& lock) {
-  co_await lock.acquire();
-  co_return ScopedLock{lock};
 }
 
 }  // namespace pdc::sim

@@ -93,7 +93,6 @@ class EventWriter {
 [[nodiscard]] std::string coll_name(std::int64_t op) {
   switch (static_cast<CollOp>(op)) {
     case CollOp::Broadcast: return "broadcast";
-    case CollOp::Barrier: return "barrier";
     case CollOp::GlobalSum: return "global_sum";
   }
   return "collective";

@@ -66,7 +66,7 @@ enum class Kind : std::uint8_t {
 };
 
 /// Collective operation code carried in aux0 of CollBegin/CollEnd.
-enum class CollOp : std::int64_t { Broadcast = 0, Barrier = 1, GlobalSum = 2 };
+enum class CollOp : std::int64_t { Broadcast = 0, GlobalSum = 2 };
 
 /// Capture categories: a Sink only stores kinds whose category bit is set
 /// in its mask, so the verbose lanes (per-event sim kernel records,

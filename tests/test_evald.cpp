@@ -626,6 +626,153 @@ TEST(Store, CorruptMiddleRecordIsReportedAndTheRepairedLogReplays) {
   ::unlink(path.c_str());
 }
 
+// A --store path naming someone else's file must be refused, not wiped:
+// only an empty file or a header cut short by a crash is (re)initialised.
+TEST(Store, ForeignFileIsRefusedAndLeftUntouched) {
+  const std::string path = scratch_path("foreign");
+  for (const std::string& text :
+       {std::string("meeting notes, Tuesday: keep these bytes; the store must not eat them\n"),
+        std::string("abc"), std::string("PDCE\x02\x00\x00\x00 wrong format", 21)}) {
+    write_file(path, as_bytes(text));
+    try {
+      const Store store(path, 9);
+      ADD_FAILURE() << "opened a foreign file as a store: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(read_file(path), as_bytes(text));
+  }
+  // Empty, or a prefix of a header (of any version): a fresh store.
+  const std::vector<std::byte> header = [&] {
+    { const Store store(path + ".ref", 7); }
+    return read_file(path + ".ref");
+  }();
+  ASSERT_EQ(header.size(), 16u);
+  for (const std::size_t cut : {std::size_t{0}, std::size_t{3}, std::size_t{8}, std::size_t{12}}) {
+    write_file(path, {header.data(), cut});
+    {
+      const Store store(path, 9);
+      EXPECT_EQ(store.stats().log_bytes, 16u) << "cut " << cut;
+    }
+    EXPECT_EQ(read_file(path).size(), 16u) << "cut " << cut;
+  }
+  ::unlink(path.c_str());
+  ::unlink((path + ".ref").c_str());
+}
+
+/// The fixture's records as the log lays them out, parsed straight from its
+/// bytes: where each ends, and the spec and result it carries.
+struct LogEntry {
+  std::size_t end{0};
+  std::uint8_t kind{0};
+  std::vector<std::byte> spec, result;
+};
+
+std::vector<LogEntry> parse_log(const std::vector<std::byte>& log) {
+  const auto u32_at = [&](std::size_t at) {
+    std::uint32_t v = 0;
+    for (int i = 0; i < 4; ++i) v |= std::to_integer<std::uint32_t>(log[at + i]) << (8 * i);
+    return v;
+  };
+  std::vector<LogEntry> out;
+  std::size_t at = 16;
+  while (at < log.size()) {
+    const std::size_t payload = at + 4;
+    const std::uint32_t spec_len = u32_at(payload + 9);
+    const std::uint32_t result_len = u32_at(payload + 13);
+    const auto spec = log.begin() + static_cast<std::ptrdiff_t>(payload + 17);
+    LogEntry e;
+    e.kind = std::to_integer<std::uint8_t>(log[payload]);
+    e.spec.assign(spec, spec + spec_len);
+    e.result.assign(spec + spec_len, spec + spec_len + result_len);
+    at = payload + u32_at(at) + 4;
+    e.end = at;
+    out.push_back(std::move(e));
+  }
+  return out;
+}
+
+TEST(StoreMutation, ReplayKeepsExactlyTheRecordsBeforeTheFirstDamagedOne) {
+  const std::vector<std::byte> log = read_file(PDC_TEST_DATA_DIR "/store_model9.pdce");
+  const std::vector<LogEntry> recs = parse_log(log);
+  ASSERT_EQ(recs.size(), 6u);  // five inserts, then a tombstone for the last
+  ASSERT_EQ(recs.back().end, log.size());
+  ASSERT_EQ(recs.back().kind, 3);
+
+  const std::string path = scratch_path("mutated");
+  const auto later = as_bytes("appended-after-replay");
+  std::mt19937_64 rng(0x57012Eull);
+  const auto pick = [&rng](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+  constexpr int kCases = 1500;
+  int refused = 0, stale = 0, replayed = 0;
+  for (int i = 0; i < kCases; ++i) {
+    // One byte flip, overwrite or insertion at `at`, aimed at the header a
+    // tenth of the time so the magic, format and version bytes get hit.
+    std::vector<std::byte> bytes = log;
+    const std::size_t at = pick(10) == 0 ? pick(16) : pick(log.size() + 1);
+    const auto value = std::byte{static_cast<unsigned char>(pick(256))};
+    switch (at == log.size() ? 2 : pick(3)) {
+      case 0: bytes[at] ^= std::byte{static_cast<unsigned char>(1u << pick(8))}; break;
+      case 1: bytes[at] = value; break;
+      default: bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(at), value); break;
+    }
+    write_file(path, bytes);
+    SCOPED_TRACE("case " + std::to_string(i) + " at " + std::to_string(at));
+
+    if (!std::equal(bytes.begin(), bytes.begin() + 8, log.begin())) {
+      EXPECT_THROW({ const Store refused(path, eval::kModelVersion); }, std::runtime_error);
+      ASSERT_EQ(read_file(path), bytes) << "a refused file must stay untouched";
+      ++refused;
+      continue;
+    }
+    std::optional<Store> store;
+    ASSERT_NO_THROW(store.emplace(path, eval::kModelVersion));
+    if (!std::equal(bytes.begin(), bytes.begin() + 16, log.begin())) {
+      // Another model version: discarded wholesale, never served.
+      EXPECT_EQ(store->entries(), 0u);
+      EXPECT_EQ(store->stats().log_bytes, 16u);
+      ++stale;
+      continue;
+    }
+    // Records wholly before `at` are intact; the one holding `at` (or the
+    // garbage byte appended after the last) is the first damaged one.
+    // Unchanged bytes (an overwrite with the same value) damage nothing.
+    std::size_t intact = 0;
+    if (bytes == log) {
+      intact = recs.size();
+    } else {
+      while (intact < recs.size() && recs[intact].end <= at) ++intact;
+    }
+    const std::size_t good_end = intact == 0 ? 16 : recs[intact - 1].end;
+    std::uint64_t live = 0;
+    for (std::size_t r = 0; r < 5; ++r) {
+      const bool want = r < intact && !(r == 4 && intact == recs.size());
+      const auto hit = store->lookup(eval::cell_key(recs[r].spec), recs[r].spec);
+      ASSERT_EQ(hit.has_value(), want) << "record " << r;
+      if (!hit) continue;
+      ++live;
+      EXPECT_EQ(hit->result, recs[r].result) << "record " << r;
+      EXPECT_EQ(hit->negative, recs[r].kind == 2) << "record " << r;
+    }
+    EXPECT_EQ(store->stats().recovered, live);
+    EXPECT_EQ(store->stats().truncated_bytes, bytes.size() - good_end);
+    EXPECT_EQ(store->stats().log_bytes, good_end);
+    store->insert(eval::cell_key(later), later, later, false);
+    store.reset();
+    const Store reopened(path, eval::kModelVersion);
+    EXPECT_EQ(reopened.stats().recovered, live + 1);
+    EXPECT_EQ(reopened.stats().truncated_bytes, 0u);
+    EXPECT_TRUE(reopened.lookup(eval::cell_key(later), later).has_value());
+    ++replayed;
+    if (HasFatalFailure()) break;
+  }
+  // Every verdict was exercised.
+  EXPECT_GT(refused, 0);
+  EXPECT_GT(stale, 0);
+  EXPECT_GT(replayed, kCases / 2);
+  ::unlink(path.c_str());
+}
+
 // -- framing edge cases over a real socket ----------------------------------
 
 class LiveServer {
@@ -867,6 +1014,89 @@ TEST(CellArgs, RangeWalkStopsBeforeInt64Overflow) {
   EXPECT_EQ(v, (std::vector<std::int64_t>{4611686018427387904}));
   EXPECT_TRUE(tools::parse_range("9223372036854775800..9223372036854775807x4", v));
   EXPECT_EQ(v, (std::vector<std::int64_t>{9223372036854775800, 9223372036854775804}));
+}
+
+/// Mutate a valid CLI argument: flip a bit, overwrite or insert a byte
+/// (mostly from the grammar's own alphabet), delete a byte, or duplicate a
+/// slice -- the typos and paste accidents a command line sees.
+std::string mutate_arg(const std::string& in, std::mt19937_64& rng) {
+  static constexpr char kAlphabet[] = "0123456789.:x*-+ eE";
+  const auto pick = [&rng](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+  const auto any_char = [&] {
+    return pick(4) == 0 ? static_cast<char>(pick(256)) : kAlphabet[pick(sizeof(kAlphabet) - 1)];
+  };
+  std::string out = in;
+  const std::size_t rounds = 1 + pick(3);
+  for (std::size_t r = 0; r < rounds; ++r) {
+    const std::size_t at = pick(out.size() + 1);
+    switch (at == out.size() ? 2 : pick(5)) {
+      case 0: out[at] = static_cast<char>(out[at] ^ (1 << pick(8))); break;
+      case 1: out[at] = any_char(); break;
+      case 2: out.insert(at, 1, any_char()); break;
+      case 3: out.erase(at, 1); break;
+      default: out.insert(at, out.substr(at, 1 + pick(out.size() - at))); break;
+    }
+  }
+  return out;
+}
+
+/// The leading integer of `s` up to `stop`, if it parses.
+std::optional<std::int64_t> number_before(const std::string& s, std::size_t stop) {
+  std::int64_t v = 0;
+  if (!tools::parse_number(s.substr(0, stop), v)) return std::nullopt;
+  return v;
+}
+
+TEST(CellArgsMutation, ParsersNeverThrowAndKeepTheirContracts) {
+  const std::vector<std::string> ranges = {"4096", "0", "2..8x2", "256..4096*4", "3..100*10",
+                                           "5..5x1", "1..65536x1", "9223372036854775800..9223372036854775807x4"};
+  const std::vector<std::string> specs = {"p4:ethernet:sendrecv:2048:4", "pvm:fddi:fft::4",
+                                          "express:sp1switch:globalsum:1024:16",
+                                          "p4:atmwan:ring", "pvm:flat:psrs:0:2"};
+  std::mt19937_64 rng(0xA5C11ull);
+  constexpr int kCases = 20000;
+  int ranges_accepted = 0, specs_accepted = 0;
+  for (int i = 0; i < kCases; ++i) {
+    const std::string range = mutate_arg(ranges[static_cast<std::size_t>(i) % ranges.size()], rng);
+    const std::vector<std::int64_t> sentinel{-7, -7};
+    std::vector<std::int64_t> out = sentinel;
+    bool ok = false;
+    ASSERT_NO_THROW(ok = tools::parse_range(range, out)) << range;
+    if (!ok) {
+      ASSERT_EQ(out, sentinel) << range << ": a rejected range must leave out untouched";
+    } else {
+      ++ranges_accepted;
+      ASSERT_FALSE(out.empty()) << range;
+      ASSERT_LE(out.size(), tools::kMaxRangeValues) << range;
+      ASSERT_TRUE(std::adjacent_find(out.begin(), out.end(), std::greater_equal<>()) ==
+                  out.end())
+          << range << ": not strictly ascending";
+      const std::size_t dots = range.find("..");
+      const auto lo = number_before(range, dots);
+      ASSERT_TRUE(lo.has_value()) << range;
+      ASSERT_EQ(out.front(), *lo) << range;
+      if (dots != std::string::npos) {
+        const std::string tail = range.substr(dots + 2);
+        const auto hi = number_before(tail, tail.find_first_of("x*"));
+        ASSERT_TRUE(hi.has_value()) << range;
+        ASSERT_LE(out.back(), *hi) << range;
+      }
+    }
+
+    const std::string text = mutate_arg(specs[static_cast<std::size_t>(i) % specs.size()], rng);
+    CellSpec spec;
+    ASSERT_NO_THROW(ok = tools::parse_cell_spec(text, spec)) << text;
+    if (!ok) continue;
+    ++specs_accepted;
+    ASSERT_TRUE(spec.type == CellType::Tpl || spec.type == CellType::App) << text;
+    EXPECT_GE(spec.tpl.bytes, 0) << text;
+    EXPECT_GE(spec.type == CellType::Tpl ? spec.tpl.procs : spec.app.procs, 1) << text;
+  }
+  // Both verdicts must be exercised for both parsers.
+  EXPECT_GT(ranges_accepted, kCases / 20);
+  EXPECT_LT(ranges_accepted, kCases * 19 / 20);
+  EXPECT_GT(specs_accepted, kCases / 50);
+  EXPECT_LT(specs_accepted, kCases * 19 / 20);
 }
 
 // -- end-to-end caching -----------------------------------------------------

@@ -1,13 +1,10 @@
-// Cross-module integration and robustness tests: phased programs with
-// barrier separation (the paper's stated motivation for synchronisation
-// primitives), full-width clusters, failure modes, and the barrier TPL
-// probe.
+// Cross-module integration and robustness tests: full-width clusters,
+// failure modes and run isolation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
-#include "eval/tpl.hpp"
 #include "mp/api.hpp"
 #include "mp/pack.hpp"
 
@@ -16,37 +13,6 @@ namespace {
 
 using host::PlatformId;
 using mp::ToolKind;
-
-// "To prevent asynchronous messages from different phases interfering with
-// one another, it is important to synchronize all processes" (paper 2.1).
-// Each phase uses the SAME tag; without the barrier, phase-2 messages
-// could overtake phase-1 ones from a fast rank. With barriers, every rank
-// must observe its phase-1 value before any phase-2 value.
-TEST(Integration, BarriersSeparateComputationPhases) {
-  for (ToolKind tool : mp::all_tools()) {
-    constexpr int kProcs = 6;
-    constexpr int kTag = 9;
-    std::vector<std::vector<std::int32_t>> seen(kProcs);
-    auto program = [&seen](mp::Communicator& c) -> sim::Task<void> {
-      const int next = (c.rank() + 1) % c.size();
-      const int prev = (c.rank() + c.size() - 1) % c.size();
-      for (std::int32_t phase = 0; phase < 3; ++phase) {
-        // Fast ranks would race ahead without the barrier.
-        co_await c.sim().delay(sim::milliseconds(c.rank()));
-        const std::vector<std::int32_t> v(1, phase);
-        co_await c.send(next, kTag, mp::pack_vector(v));
-        mp::Message m = co_await c.recv(prev, kTag);
-        seen[static_cast<std::size_t>(c.rank())].push_back(
-            mp::unpack_vector<std::int32_t>(*m.data)[0]);
-        co_await c.barrier();
-      }
-    };
-    mp::run_spmd(PlatformId::AlphaFddi, kProcs, tool, program);
-    for (const auto& s : seen) {
-      EXPECT_EQ(s, (std::vector<std::int32_t>{0, 1, 2})) << mp::to_string(tool);
-    }
-  }
-}
 
 TEST(Integration, FullWidthSp1AllToAll) {
   // The largest configuration in the paper's testbed: 16 SP-1 nodes, every
@@ -75,21 +41,6 @@ TEST(Integration, FullWidthSp1AllToAll) {
   }
 }
 
-TEST(Integration, MissingBarrierParticipantIsDetectedAsDeadlock) {
-  // Failure injection: rank 2 "crashes" (returns early) before the
-  // barrier; the remaining ranks can never be released, and the simulator
-  // reports the deadlock instead of hanging.
-  for (ToolKind tool : mp::all_tools()) {
-    auto program = [](mp::Communicator& c) -> sim::Task<void> {
-      if (c.rank() == 2) co_return;  // crashed process
-      co_await c.barrier();
-    };
-    EXPECT_THROW(mp::run_spmd(PlatformId::AlphaFddi, 4, tool, program),
-                 sim::DeadlockDetected)
-        << mp::to_string(tool);
-  }
-}
-
 TEST(Integration, LostReceiverIsDetectedAsDeadlock) {
   auto program = [](mp::Communicator& c) -> sim::Task<void> {
     if (c.rank() == 0) {
@@ -98,20 +49,6 @@ TEST(Integration, LostReceiverIsDetectedAsDeadlock) {
   };
   EXPECT_THROW(mp::run_spmd(PlatformId::SunEthernet, 2, ToolKind::P4, program),
                sim::DeadlockDetected);
-}
-
-TEST(Integration, BarrierCostOrderingFollowsToolArchitecture) {
-  // On the Alpha's native ports, Express's dissemination exsync beats
-  // PVM's coordinator round-trip through the daemons -- part of why
-  // Express wins Monte Carlo there.
-  const double express = eval::barrier_ms(PlatformId::AlphaFddi, ToolKind::Express, 8);
-  const double p4 = eval::barrier_ms(PlatformId::AlphaFddi, ToolKind::P4, 8);
-  const double pvm = eval::barrier_ms(PlatformId::AlphaFddi, ToolKind::Pvm, 8);
-  EXPECT_LT(express, pvm);
-  EXPECT_LT(p4, pvm);
-  // Barriers are sub-10ms on a switched 100 Mb/s fabric.
-  EXPECT_LT(express, 10.0);
-  EXPECT_GT(express, 0.0);
 }
 
 TEST(Integration, SimulationStateIsolatedBetweenRuns) {

@@ -10,7 +10,6 @@
 #include "mp/api.hpp"
 #include "mp/buffer_pool.hpp"
 #include "mp/communicator.hpp"
-#include "mp/native.hpp"
 #include "mp/pack.hpp"
 #include "sim/frame_pool.hpp"
 
@@ -106,28 +105,6 @@ TEST_P(ToolFixture, BroadcastReachesEveryRank) {
   };
   run_spmd(PlatformId::AlphaFddi, kProcs, GetParam(), program);
   for (const auto& v : got) EXPECT_EQ(v, (std::vector<std::int32_t>{1, 2, 3, 4, 5}));
-}
-
-TEST_P(ToolFixture, BarrierSynchronises) {
-  constexpr int kProcs = 5;
-  std::vector<double> release_times(kProcs, -1);
-  auto program = [&release_times](Communicator& c) -> sim::Task<void> {
-    // Rank r works r*10 ms, then everyone meets at the barrier.
-    co_await c.sim().delay(sim::milliseconds(10) * c.rank());
-    co_await c.barrier();
-    release_times[static_cast<std::size_t>(c.rank())] = c.sim().now().seconds();
-  };
-  run_spmd(PlatformId::AlphaFddi, kProcs, GetParam(), program);
-  // Nobody leaves the barrier before the slowest rank arrived (40 ms).
-  for (double t : release_times) EXPECT_GE(t, 0.040);
-}
-
-TEST_P(ToolFixture, BarrierRepeatsBackToBack) {
-  auto program = [](Communicator& c) -> sim::Task<void> {
-    for (int i = 0; i < 5; ++i) co_await c.barrier();
-  };
-  auto out = run_spmd(PlatformId::SunAtmLan, 4, GetParam(), program);
-  EXPECT_GT(out.elapsed, sim::Duration::zero());
 }
 
 TEST_P(ToolFixture, SelfSendLoopsBack) {
@@ -256,46 +233,6 @@ TEST(Semantics, MessagesArriveInOrderBetweenPairs) {
     ASSERT_EQ(seen.size(), 20u) << to_string(kind);
     for (int i = 0; i < 20; ++i) EXPECT_EQ(seen[static_cast<std::size_t>(i)], i);
   }
-}
-
-TEST(Native, VeneersExerciseSamePaths) {
-  bool ok = false;
-  auto program = [&ok](Communicator& c) -> sim::Task<void> {
-    if (c.runtime().kind() == ToolKind::Pvm) {
-      native::Pvm pvm(c);
-      if (c.rank() == 0) {
-        pvm.pvm_initsend();
-        std::vector<std::int32_t> v{5, 6};
-        pvm.pvm_pk<std::int32_t>(v);
-        co_await pvm.pvm_send(1, 3);
-        co_await pvm.pvm_barrier();
-      } else {
-        Message m = co_await pvm.pvm_recv(0, 3);
-        Unpacker u(*m.data);
-        ok = u.get_vector<std::int32_t>() == std::vector<std::int32_t>{5, 6};
-        co_await pvm.pvm_barrier();
-      }
-    }
-    co_return;
-  };
-  run_spmd(PlatformId::SunEthernet, 2, ToolKind::Pvm, program);
-  EXPECT_TRUE(ok);
-
-  bool ok2 = false;
-  auto program2 = [&ok2](Communicator& c) -> sim::Task<void> {
-    native::Express ex{c};
-    if (c.rank() == 0) {
-      std::vector<double> v{1.0};
-      co_await ex.exsend(9, 1, pack_vector(v));
-      co_await ex.exsync();
-    } else {
-      Message m = co_await ex.exreceive(9, 0);
-      ok2 = unpack_vector<double>(*m.data)[0] == 1.0;
-      co_await ex.exsync();
-    }
-  };
-  run_spmd(PlatformId::AlphaFddi, 2, ToolKind::Express, program2);
-  EXPECT_TRUE(ok2);
 }
 
 TEST(Pack, EmptySpanRoundTrips) {
@@ -440,27 +377,6 @@ TEST(Broadcast, BytesOverloadStillMaterialisesPerRank) {
   };
   run_spmd(PlatformId::SunEthernet, 3, ToolKind::P4, program);
   for (const auto& v : got) EXPECT_EQ(v, (std::vector<double>{7.0, 8.0}));
-}
-
-TEST(Barrier, DisseminationHandlesNonPowerOfTwoSizes) {
-  // Express uses the dissemination barrier; its partner arithmetic
-  // (rank - 2^k mod P) must hold for non-power-of-two P too.
-  for (int p : {3, 5, 6, 7}) {
-    std::vector<int> before(static_cast<std::size_t>(p), 0);
-    bool all_arrived = true;
-    auto program = [&](Communicator& c) -> sim::Task<void> {
-      // Stagger arrival so slow ranks genuinely lag.
-      co_await c.compute_flops(1e4 * (c.rank() + 1));
-      before[static_cast<std::size_t>(c.rank())] = 1;
-      co_await c.barrier();
-      // After release, every rank must observe every arrival.
-      for (int r = 0; r < c.size(); ++r) {
-        if (before[static_cast<std::size_t>(r)] != 1) all_arrived = false;
-      }
-    };
-    run_spmd(PlatformId::AlphaFddi, p, ToolKind::Express, program);
-    EXPECT_TRUE(all_arrived) << "P=" << p;
-  }
 }
 
 TEST(RunSpmd, ReportsCountersAndValidatesArgs) {

@@ -148,7 +148,7 @@ TEST(AppWinners, AlphaFddiMatchesPaperFigure5) {
             app(kP, ToolKind::Pvm, AppKind::Fft2d, 4));
   EXPECT_LT(app(kP, ToolKind::P4, AppKind::Fft2d, 4),
             app(kP, ToolKind::Express, AppKind::Fft2d, 4));
-  // Express best for Monte Carlo (native excombine/exsync).
+  // Express best for Monte Carlo (native recursive-doubling excombine).
   EXPECT_LT(app(kP, ToolKind::Express, AppKind::MonteCarlo, 8),
             app(kP, ToolKind::P4, AppKind::MonteCarlo, 8));
   EXPECT_LT(app(kP, ToolKind::Express, AppKind::MonteCarlo, 8),

@@ -360,14 +360,13 @@ TEST(Mailbox, WaiterWokenOnPush) {
   EXPECT_EQ(when, TimePoint::origin() + milliseconds(3));
 }
 
-TEST(Mailbox, TryRecvAndPoll) {
+TEST(Mailbox, TryRecvIsNonBlocking) {
   Simulation sim;
   Mailbox<int> box(sim);
-  EXPECT_FALSE(box.poll());
   EXPECT_EQ(box.try_recv(), std::nullopt);
   box.push(3);
-  EXPECT_TRUE(box.poll());
-  EXPECT_FALSE(box.poll([](const int& v) { return v > 5; }));
+  EXPECT_EQ(box.try_recv([](const int& v) { return v > 5; }), std::nullopt);
+  EXPECT_EQ(box.pending(), 1u);
   EXPECT_EQ(box.try_recv().value(), 3);
   EXPECT_EQ(box.pending(), 0u);
 }
@@ -389,23 +388,6 @@ TEST(SerialResource, ReserveFromFutureStart) {
   // Busy resource dominates the future start.
   EXPECT_EQ(res.reserve_from(TimePoint{1200}, Duration{100}), TimePoint{1600});
   EXPECT_THROW(res.reserve(Duration{-1}), std::invalid_argument);
-}
-
-TEST(FifoLock, MutualExclusionInFifoOrder) {
-  Simulation sim;
-  FifoLock lock(sim);
-  std::vector<int> order;
-  auto worker = [](Simulation& s, FifoLock& lock, std::vector<int>& order, int id,
-                   Duration hold) -> Task<> {
-    auto guard = co_await ScopedLock::take(lock);
-    order.push_back(id);
-    co_await s.delay(hold);
-  };
-  for (int i = 0; i < 3; ++i) sim.spawn(worker(sim, lock, order, i, milliseconds(2)));
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-  EXPECT_FALSE(lock.locked());
-  EXPECT_EQ(sim.now(), TimePoint::origin() + milliseconds(6));
 }
 
 TEST(Rng, DeterministicAndSplittable) {
