@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 
 #include "eval/byte_codec.hpp"
@@ -85,11 +86,11 @@ bool write_all(int fd, const std::byte* data, std::size_t len) {
 }
 
 /// Read exactly `len` bytes; 1 = ok, 0 = clean EOF before any byte,
-/// -1 = EOF/error mid-read.
+/// -1 = EOF/error mid-read. read(2), not recv(2), so any stream fd works.
 int read_all(int fd, std::byte* data, std::size_t len) {
   bool any = false;
   while (len > 0) {
-    const ssize_t n = ::recv(fd, data, len, 0);
+    const ssize_t n = ::read(fd, data, len);
     if (n < 0) {
       if (errno == EINTR) continue;
       return -1;
@@ -134,8 +135,17 @@ FrameStatus read_frame(int fd, std::vector<std::byte>& payload) {
   std::uint32_t len = 0;
   eval::ByteReader(payload).u32(len);
   if (len > kMaxFramePayload) return FrameStatus::TooLong;
-  payload.resize(len + kFrameOverhead);
-  if (read_all(fd, payload.data() + 4, len + 4) != 1) return FrameStatus::Truncated;
+  // Grow to the next step boundary per read, never to the declared length
+  // up front: a peer that declares a large frame and then stalls or hangs
+  // up costs its connection at most one step of memory.
+  const std::size_t total = std::size_t{len} + kFrameOverhead;
+  while (payload.size() < total) {
+    const std::size_t have = payload.size();
+    payload.resize(std::min(total, (have / kFrameReadStep + 1) * kFrameReadStep));
+    if (read_all(fd, payload.data() + have, payload.size() - have) != 1) {
+      return FrameStatus::Truncated;
+    }
+  }
   if (!unframe(payload, kMaxFramePayload)) return FrameStatus::BadCrc;
   payload.erase(payload.begin(), payload.begin() + 4);
   payload.resize(len);

@@ -38,6 +38,11 @@ namespace pdc::evald {
 /// batches (the computed cells are already cached, so a retry is cheap).
 inline constexpr std::uint32_t kMaxFramePayload = 32u << 20;
 
+/// read_frame grows its buffer by at most this many bytes per read, so the
+/// memory a frame holds tracks the bytes that arrived, not its length
+/// prefix. A frame that fits in one step takes one read.
+inline constexpr std::size_t kFrameReadStep = 64u << 10;
+
 enum class FrameStatus : std::uint8_t {
   Ok = 0,
   Eof,        ///< peer closed cleanly between frames

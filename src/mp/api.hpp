@@ -27,7 +27,7 @@ struct RunOutcome {
   std::uint64_t payload_bytes{0};   ///< application payload carried
   TransportStats transport{};       ///< reliability work, summed over ranks
   fault::InjectionStats injected{}; ///< faults the wire actually injected
-  sim::MailboxStats mailbox{};      ///< matching work, summed over rank mailboxes
+  MailboxStats mailbox{};           ///< matching work, summed over rank mailboxes
 };
 
 /// Event-loop threads per run: always 1, since every run is driven by one

@@ -174,7 +174,7 @@ sim::Task<void> Communicator::send(int dst, int tag, Payload payload) {
 sim::Task<Message> Communicator::recv(int src, int tag) {
   std::int64_t recv_begin_ns = 0;
   if (trace::active()) { recv_begin_ns = sim().now().ns; }
-  Message m = co_await rt_.mailbox(rank_).recv(TagSourceMatch{src, tag});
+  Message m = co_await rt_.mailbox(rank_).recv(src, tag);
   std::int64_t match_ns = 0;
   if (trace::active()) { match_ns = sim().now().ns; }
   const auto& prof = profile();

@@ -17,7 +17,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -95,26 +94,6 @@ struct Message {
   [[nodiscard]] bool matches(int want_src, int want_tag) const noexcept {
     return (want_src == kAnySource || want_src == src) &&
            (want_tag == kAnyTag || want_tag == tag);
-  }
-};
-
-/// The (source, tag) wildcard match every tool's recv performs, as a named
-/// trivially-copyable predicate so mailbox matching never allocates.
-struct TagSourceMatch {
-  int src{kAnySource};
-  int tag{kAnyTag};
-
-  [[nodiscard]] bool operator()(const Message& m) const noexcept {
-    return m.matches(src, tag);
-  }
-
-  /// Bucket hint for sim::Mailbox source-bucketed matching: a concrete
-  /// source restricts matches to that source's bucket; a wildcard source
-  /// must scan everything. The sentinel equals sim::kAnyBucket (pinned by a
-  /// static_assert in runtime.hpp; spelled out here to keep this header
-  /// free of the simulation kernel).
-  [[nodiscard]] constexpr int bucket_key() const noexcept {
-    return src == kAnySource ? std::numeric_limits<int>::min() : src;
   }
 };
 

@@ -5,12 +5,13 @@
 // byte order (the simulation runs in one address space; XDR costs are
 // billed in simulated time by the PVM profile, not performed).
 //
-// Two read paths exist. The owning one (`unpack_vector`, `Unpacker`)
-// materialises fresh vectors; the zero-copy one (`payload_span`,
-// `PayloadReader`) borrows typed spans straight from the immutable payload
-// bytes, so the simulator's hot loops (collectives, app exchanges) never
-// heap-allocate just to look at received data. Borrowed spans are valid as
-// long as the payload/Message they came from is alive.
+// Two read paths exist. The owning one (`unpack_vector`,
+// `PayloadReader::get_vector`) materialises fresh vectors; the zero-copy one
+// (`payload_span`, `PayloadReader::get_span`) borrows typed spans straight
+// from the immutable payload bytes, so the simulator's hot loops
+// (collectives, app exchanges) never heap-allocate just to look at received
+// data. Borrowed spans are valid as long as the payload/Message they came
+// from is alive.
 #pragma once
 
 #include <cstdint>
@@ -108,7 +109,7 @@ class Packer {
 
 namespace detail {
 
-/// Overflow-hardened bounds check shared by the sequential readers: with
+/// Overflow-hardened bounds check for PayloadReader: with
 /// pos <= size as the invariant, `n > size - pos` cannot wrap, unlike the
 /// naive `pos + n > size`.
 inline void require_bytes(std::size_t pos, std::size_t size, std::size_t n) {
@@ -125,39 +126,6 @@ inline void require_elems(std::size_t pos, std::size_t size, std::uint64_t n,
 }
 
 }  // namespace detail
-
-/// Sequential reader matching Packer's layout; owning reads (copies out).
-class Unpacker {
- public:
-  explicit Unpacker(const Bytes& b) : buf_(b) {}
-
-  template <typename T>
-    requires std::is_trivially_copyable_v<T>
-  [[nodiscard]] T get() {
-    T value;
-    detail::require_bytes(pos_, buf_.size(), sizeof(T));
-    std::memcpy(&value, buf_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return value;
-  }
-
-  template <typename T>
-    requires std::is_trivially_copyable_v<T>
-  [[nodiscard]] std::vector<T> get_vector() {
-    const auto n = get<std::uint64_t>();
-    detail::require_elems(pos_, buf_.size(), n, sizeof(T));
-    std::vector<T> v(static_cast<std::size_t>(n));
-    if (n > 0) std::memcpy(v.data(), buf_.data() + pos_, n * sizeof(T));
-    pos_ += static_cast<std::size_t>(n) * sizeof(T);
-    return v;
-  }
-
-  [[nodiscard]] std::size_t remaining() const noexcept { return buf_.size() - pos_; }
-
- private:
-  const Bytes& buf_;
-  std::size_t pos_{0};
-};
 
 /// Zero-copy sequential reader matching Packer's layout: `get_span` borrows
 /// typed views straight out of the payload instead of materialising

@@ -42,21 +42,15 @@
 #include <vector>
 
 #include "host/platform.hpp"
+#include "mp/mailbox.hpp"
 #include "mp/message.hpp"
 #include "mp/profile.hpp"
 #include "mp/tool.hpp"
-#include "sim/mailbox.hpp"
 #include "sim/resource.hpp"
 
 namespace pdc::mp {
 
 class Communicator;
-
-// TagSourceMatch spells the "no bucket" sentinel out (to stay free of the
-// simulation kernel headers); pin it to the mailbox's definition here,
-// where both headers meet.
-static_assert(TagSourceMatch{kAnySource, kAnyTag}.bucket_key() == sim::kAnyBucket);
-static_assert(TagSourceMatch{7, kAnyTag}.bucket_key() == 7);
 
 /// Reliability work performed by one rank's transport (all zero on a
 /// reliable wire). `drops_seen` counts frames this rank transmitted that
@@ -175,12 +169,9 @@ class Runtime {
   // mailboxes, and p4/Express runs never pay for pvmd daemons at all.
   // Lazily-created resources start idle, exactly as eager ones would be at
   // first use, so results are bit-identical to the eager layout.
-  [[nodiscard]] sim::Mailbox<Message>& mailbox(int rank) {
+  [[nodiscard]] Mailbox& mailbox(int rank) {
     auto& slot = mailboxes_.at(static_cast<std::size_t>(rank));
-    if (!slot) {
-      slot = std::make_unique<sim::Mailbox<Message>>(
-          sim(), +[](const Message& m) { return m.src; });
-    }
+    if (!slot) slot = std::make_unique<Mailbox>(sim());
     return *slot;
   }
   [[nodiscard]] sim::SerialResource& daemon(int rank) { return lazy_resource(daemons_, rank); }
@@ -200,8 +191,8 @@ class Runtime {
 
   /// Matching telemetry summed over every created mailbox (counters sum,
   /// peak depth is the max across ranks).
-  [[nodiscard]] sim::MailboxStats mailbox_total() const noexcept {
-    sim::MailboxStats total;
+  [[nodiscard]] MailboxStats mailbox_total() const noexcept {
+    MailboxStats total;
     for (const auto& m : mailboxes_) {
       if (m) total += m->stats();
     }
@@ -294,7 +285,7 @@ class Runtime {
   ToolProfile profile_;
   NodeRange range_;
   bool reliable_wire_;
-  std::vector<std::unique_ptr<sim::Mailbox<Message>>> mailboxes_;
+  std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::vector<std::unique_ptr<sim::SerialResource>> daemons_;
   std::vector<std::unique_ptr<sim::SerialResource>> rx_engines_;
   std::vector<std::unique_ptr<sim::SerialResource>> tx_engines_;

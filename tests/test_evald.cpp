@@ -5,6 +5,7 @@
 // computed one for every cell kind, including faulted runs.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -908,6 +909,89 @@ TEST(Framing, WriteFrameRefusesOversizedPayload) {
   std::vector<std::byte> payload;
   EXPECT_EQ(read_frame(sv[1], payload), FrameStatus::Eof);
   ::close(sv[1]);
+}
+
+TEST(Framing, StalledLargeFrameHoldsAtMostOneStep) {
+  // A header declaring the maximum payload, then the peer hangs up: the
+  // reader reports the truncation having grown its buffer by one step, not
+  // by the 32 MiB the prefix announced.
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  const std::uint32_t len = kMaxFramePayload;
+  send_raw(sv[0], &len, sizeof(len));
+  ::close(sv[0]);
+  std::vector<std::byte> payload;
+  EXPECT_EQ(read_frame(sv[1], payload), FrameStatus::Truncated);
+  EXPECT_LE(payload.capacity(), kFrameReadStep);
+  ::close(sv[1]);
+}
+
+// -- read_frame over mutated byte streams -----------------------------------
+
+/// Valid frames, back to back: `payloads` framed in order.
+Bytes frame_stream(const std::vector<Bytes>& payloads) {
+  Bytes out;
+  for (const Bytes& p : payloads) {
+    const Bytes f = frame(p);
+    out.insert(out.end(), f.begin(), f.end());
+  }
+  return out;
+}
+
+TEST(FrameMutation, ReaderReturnsOnlyOriginalFramesAndStopsAtTheFirstBadOne) {
+  std::mt19937_64 rng(0xF4A3EDull);
+  Bytes big(kFrameReadStep + 1000);  // crosses a growth step
+  for (std::byte& b : big) b = static_cast<std::byte>(rng());
+  const std::vector<Bytes> small = {encode_ping(), {}, encode_lookup({false, sample_specs()}),
+                                    encode_error("malformed lookup"), encode_invalidate_reply(7)};
+  const std::vector<std::vector<Bytes>> corpus = {
+      small, {encode_ping(), big, encode_stats_request()}};
+
+  const std::string path = scratch_path("frames");
+  constexpr int kCases = 1500;
+  int truncated = 0, too_long = 0, bad_crc = 0, clean = 0;
+  for (int i = 0; i < kCases; ++i) {
+    const std::vector<Bytes>& payloads = corpus[static_cast<std::size_t>(i) % corpus.size()];
+    const Bytes original = frame_stream(payloads);
+    const Bytes input = mutate(original, rng);
+    write_file(path, input);
+    SCOPED_TRACE("case " + std::to_string(i));
+    // Every frame that ends before the first changed byte is intact.
+    const std::size_t first_change =
+        static_cast<std::size_t>(std::mismatch(input.begin(), input.end(), original.begin(),
+                                               original.end()).first - input.begin());
+    std::size_t intact = 0;
+    for (std::size_t end = 0; intact < payloads.size(); ++intact) {
+      end += payloads[intact].size() + kFrameOverhead;
+      if (end > first_change) break;
+    }
+
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    ASSERT_GE(fd, 0);
+    std::size_t ok = 0;
+    FrameStatus status = FrameStatus::Ok;
+    for (;;) {
+      std::vector<std::byte> payload;
+      ASSERT_NO_THROW(status = read_frame(fd, payload));
+      if (status != FrameStatus::Ok) break;
+      ASSERT_LT(ok, payloads.size()) << "read a frame past the end of the stream";
+      ASSERT_EQ(payload, payloads[ok]) << "frame " << ok << " is not the original";
+      ++ok;
+    }
+    ::close(fd);
+    ASSERT_GE(ok, intact);
+    ASSERT_NE(status, FrameStatus::IoError);
+    truncated += status == FrameStatus::Truncated;
+    too_long += status == FrameStatus::TooLong;
+    bad_crc += status == FrameStatus::BadCrc;
+    clean += status == FrameStatus::Eof && ok == payloads.size();
+  }
+  // Every verdict was exercised.
+  EXPECT_GT(truncated, 0);
+  EXPECT_GT(too_long, 0);
+  EXPECT_GT(bad_crc, 0);
+  EXPECT_GT(clean, 0);
+  ::unlink(path.c_str());
 }
 
 // -- CLI cell-spec parsing --------------------------------------------------

@@ -1,15 +1,19 @@
 // Tests for the message-passing layer: point-to-point semantics per tool,
-// collectives correctness, daemon routing, pack/unpack, and the SPMD driver.
+// collectives correctness, daemon routing, pack/unpack, the (source, tag)
+// mailbox, and the SPMD driver.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <numeric>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "mp/api.hpp"
 #include "mp/buffer_pool.hpp"
 #include "mp/communicator.hpp"
+#include "mp/mailbox.hpp"
 #include "mp/pack.hpp"
 #include "sim/frame_pool.hpp"
 
@@ -34,7 +38,7 @@ TEST(Pack, RoundTripVectors) {
   pk.put_span<std::int64_t>(std::vector<std::int64_t>{10, 20, 30});
   pk.put<double>(2.5);
   auto payload = pk.finish();
-  Unpacker u(*payload);
+  PayloadReader u(*payload);
   EXPECT_EQ(u.get<std::int32_t>(), 7);
   EXPECT_EQ(u.get_vector<std::int64_t>(), (std::vector<std::int64_t>{10, 20, 30}));
   EXPECT_DOUBLE_EQ(u.get<double>(), 2.5);
@@ -43,7 +47,7 @@ TEST(Pack, RoundTripVectors) {
 
 TEST(Pack, UnpackerRejectsTruncation) {
   Bytes b(3);
-  Unpacker u(b);
+  PayloadReader u(b);
   EXPECT_THROW((void)u.get<std::int64_t>(), std::out_of_range);
   EXPECT_THROW(unpack_vector<double>(b), std::invalid_argument);
 }
@@ -265,7 +269,7 @@ TEST(Pack, MalformedLengthPrefixRejected) {
   pk.put<double>(1.0);
   auto payload = pk.finish();
 
-  Unpacker u(*payload);
+  PayloadReader u(*payload);
   EXPECT_THROW((void)u.get_vector<double>(), std::out_of_range);
   PayloadReader r(payload);
   EXPECT_THROW((void)r.get_span<double>(), std::out_of_range);
@@ -472,6 +476,197 @@ TEST(Parcel, DeadlockReleasesUnmatchedPayloads) {
   EXPECT_THROW(run_spmd(PlatformId::SunEthernet, 2, ToolKind::Express, program),
                sim::DeadlockDetected);
   EXPECT_EQ(held.use_count(), 1);
+}
+
+// ---------- mailbox: (source, tag) matching ---------------------------------
+
+using sim::milliseconds;
+using sim::Simulation;
+using sim::Task;
+using sim::TimePoint;
+
+/// A message from `src` with `tag` whose payload is the int `body`.
+Message envelope(int src, int tag, int body) {
+  Packer pk;
+  pk.put<int>(body);
+  return Message{.src = src, .tag = tag, .data = pk.finish()};
+}
+
+int body(const Message& m) { return PayloadReader(m).get<int>(); }
+
+TEST(Mailbox, FifoAndMatcherSelection) {
+  Simulation sim;
+  Mailbox box(sim);
+  std::vector<int> got;
+  sim.spawn([](Simulation& s, Mailbox& b) -> Task<> {
+    co_await s.delay(milliseconds(1));
+    b.push(envelope(0, 1, 7));
+    b.push(envelope(0, 2, 8));
+    b.push(envelope(0, 1, 9));
+  }(sim, box), "producer");
+  sim.spawn([](Mailbox& b, std::vector<int>& got) -> Task<> {
+    got.push_back(body(co_await b.recv(kAnySource, 1)));
+    got.push_back(body(co_await b.recv(kAnySource, 1)));
+    got.push_back(body(co_await b.recv(kAnySource, kAnyTag)));
+  }(box, got), "consumer");
+  sim.run();
+  EXPECT_EQ(got, (std::vector<int>{7, 9, 8}));
+}
+
+TEST(Mailbox, WaiterWokenOnPush) {
+  Simulation sim;
+  Mailbox box(sim);
+  TimePoint when{};
+  sim.spawn([](Simulation& s, Mailbox& b, TimePoint& when) -> Task<> {
+    const Message m = co_await b.recv(kAnySource, kAnyTag);
+    EXPECT_EQ(body(m), 5);
+    when = s.now();
+  }(sim, box, when));
+  sim.spawn([](Simulation& s, Mailbox& b) -> Task<> {
+    co_await s.delay(milliseconds(3));
+    b.push(envelope(0, 0, 5));
+  }(sim, box));
+  sim.run();
+  EXPECT_EQ(when, TimePoint::origin() + milliseconds(3));
+}
+
+TEST(Mailbox, TryRecvIsNonBlocking) {
+  // The awaitable's ready check is the non-blocking probe: it takes a
+  // queued match, and without one it neither consumes nor posts anything.
+  Simulation sim;
+  Mailbox box(sim);
+  EXPECT_FALSE(box.recv(kAnySource, kAnyTag).await_ready());
+  box.push(envelope(0, 3, 3));
+  EXPECT_FALSE(box.recv(kAnySource, 9).await_ready());
+  EXPECT_FALSE(box.recv(1, kAnyTag).await_ready());
+  EXPECT_EQ(box.pending(), 1u);
+  auto take = box.recv(kAnySource, kAnyTag);
+  ASSERT_TRUE(take.await_ready());
+  EXPECT_EQ(body(take.await_resume()), 3);
+  EXPECT_EQ(box.pending(), 0u);
+}
+
+TEST(MailboxEdge, WildcardSourceAndTagMatching) {
+  Simulation sim;
+  Mailbox box(sim);
+  std::vector<int> got;
+  sim.spawn([](Simulation& s, Mailbox& b) -> Task<> {
+    co_await s.delay(milliseconds(1));
+    b.push(envelope(2, 9, 1));
+    b.push(envelope(3, 5, 2));
+    b.push(envelope(2, 5, 3));
+  }(sim, box), "producer");
+  sim.spawn([](Mailbox& b, std::vector<int>& got) -> Task<> {
+    // Exact (src, tag) skips earlier queued messages.
+    got.push_back(body(co_await b.recv(2, 5)));
+    // Wildcard source, exact tag: oldest tag-5 message remaining.
+    got.push_back(body(co_await b.recv(kAnySource, 5)));
+    // Full wildcard drains in arrival order.
+    got.push_back(body(co_await b.recv(kAnySource, kAnyTag)));
+  }(box, got), "consumer");
+  sim.run();
+  EXPECT_EQ(got, (std::vector<int>{3, 2, 1}));
+}
+
+TEST(MailboxEdge, SameTimestampPushesKeepFifoOrder) {
+  // Multiple pushes at one simulated instant must drain in push order, and
+  // a same-instant producer/consumer interleaving must not reorder: the
+  // fast-lane event queue is FIFO within a timestamp.
+  Simulation sim;
+  Mailbox box(sim);
+  std::vector<int> got;
+  sim.spawn([](Simulation& s, Mailbox& b) -> Task<> {
+    co_await s.delay(milliseconds(2));
+    for (int i = 0; i < 6; ++i) b.push(envelope(i % 2, 0, i));  // all at t = 2 ms
+  }(sim, box), "producer");
+  sim.spawn([](Mailbox& b, std::vector<int>& got) -> Task<> {
+    for (int i = 0; i < 6; ++i) got.push_back(body(co_await b.recv(kAnySource, kAnyTag)));
+  }(box, got), "consumer");
+  sim.run();
+  EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST(MailboxEdge, CompetingReceiversServedInArrivalOrder) {
+  // Two waiters with overlapping matches: a push wakes the waiter that
+  // arrived first among those that accept it, so a selective waiter is not
+  // starved by a wildcard one that arrived later.
+  Simulation sim;
+  Mailbox box(sim);
+  std::vector<std::pair<char, int>> got;
+  sim.spawn([](Mailbox& b, std::vector<std::pair<char, int>>& got) -> Task<> {
+    got.emplace_back('s', body(co_await b.recv(kAnySource, 7)));  // selective, first
+  }(box, got), "selective");
+  sim.spawn([](Simulation& s, Mailbox& b, std::vector<std::pair<char, int>>& got) -> Task<> {
+    co_await s.delay(sim::microseconds(1));
+    got.emplace_back('w', body(co_await b.recv(kAnySource, kAnyTag)));  // wildcard, second
+  }(sim, box, got), "wildcard");
+  sim.spawn([](Simulation& s, Mailbox& b) -> Task<> {
+    co_await s.delay(milliseconds(1));
+    b.push(envelope(0, 7, 10));  // both match; selective waiter wins (older)
+    b.push(envelope(0, 3, 20));  // only the wildcard waiter matches
+  }(sim, box), "producer");
+  sim.run();
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0], std::make_pair('s', 10));
+  EXPECT_EQ(got[1], std::make_pair('w', 20));
+}
+
+TEST(MailboxEdge, WaitersLeaveFromAnyPositionAndLaterOnesJoinBehind) {
+  // Waiters leave the waiting list from its middle and its tail; waiters
+  // posted later join behind the one still waiting, and every push reaches
+  // the earliest-posted waiter that matches it.
+  Simulation sim;
+  Mailbox box(sim);
+  std::vector<std::pair<int, int>> got;  // (waiter's tag, body)
+  auto waiter = [](Simulation& s, Mailbox& b, std::vector<std::pair<int, int>>& got,
+                   int after_us, int tag) -> Task<> {
+    co_await s.delay(sim::microseconds(after_us));
+    got.emplace_back(tag, body(co_await b.recv(kAnySource, tag)));
+  };
+  sim.spawn(waiter(sim, box, got, 0, 1), "a");
+  sim.spawn(waiter(sim, box, got, 1, 2), "b");
+  sim.spawn(waiter(sim, box, got, 2, 3), "c");
+  sim.spawn([](Simulation& s, Mailbox& b) -> Task<> {
+    co_await s.delay(milliseconds(1));
+    b.push(envelope(0, 2, 20));  // the middle waiter, b
+    b.push(envelope(0, 3, 30));  // the last waiter, c
+  }(sim, box), "producer 1");
+  sim.spawn(waiter(sim, box, got, 2000, 3), "d");
+  sim.spawn(waiter(sim, box, got, 2001, kAnyTag), "e");
+  sim.spawn([](Simulation& s, Mailbox& b) -> Task<> {
+    co_await s.delay(milliseconds(3));
+    b.push(envelope(0, 3, 31));  // d: posted before e
+    b.push(envelope(0, 9, 90));  // only e matches
+    b.push(envelope(0, 1, 10));  // a, waiting since the start
+  }(sim, box), "producer 2");
+  sim.run();
+  const std::vector<std::pair<int, int>> want = {
+      {2, 20}, {3, 30}, {3, 31}, {kAnyTag, 90}, {1, 10}};
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(box.pending(), 0u);
+}
+
+TEST(MailboxEdge, NonMatchingPushQueuesPastBlockedWaiter) {
+  // A waiter that does not match a message must leave it queued for later
+  // receivers instead of consuming or dropping it.
+  Simulation sim;
+  Mailbox box(sim);
+  int selective = 0, sweeper = 0;
+  sim.spawn([](Mailbox& b, int& selective) -> Task<> {
+    selective = body(co_await b.recv(5, kAnyTag));
+  }(box, selective), "selective");
+  sim.spawn([](Simulation& s, Mailbox& b, int& sweeper) -> Task<> {
+    co_await s.delay(milliseconds(2));
+    sweeper = body(co_await b.recv(kAnySource, kAnyTag));
+  }(sim, box, sweeper), "sweeper");
+  sim.spawn([](Simulation& s, Mailbox& b) -> Task<> {
+    co_await s.delay(milliseconds(1));
+    b.push(envelope(1, 0, 111));  // not from source 5: queues
+    b.push(envelope(5, 0, 555));
+  }(sim, box), "producer");
+  sim.run();
+  EXPECT_EQ(selective, 555);
+  EXPECT_EQ(sweeper, 111);
 }
 
 }  // namespace

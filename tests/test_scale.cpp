@@ -12,15 +12,16 @@
 #include <cstdlib>
 #include <new>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #include "eval/cell.hpp"
 #include "fault/plan.hpp"
 #include "host/platform.hpp"
 #include "mp/api.hpp"
+#include "mp/mailbox.hpp"
 #include "mp/pack.hpp"
 #include "mp/runtime.hpp"
-#include "sim/mailbox.hpp"
 #include "sim/simulation.hpp"
 
 namespace {
@@ -173,6 +174,21 @@ TEST(ActiveState, SparseTrafficAt4096Ranks) {
   EXPECT_LE(runtime.active_mailboxes(), 2u);
 }
 
+TEST(ActiveState, EmptyMailboxAllocatesNothing) {
+  // A rank whose mailbox is materialised but never queues a message (a
+  // pure sender, or a receiver whose every message meets a posted recv)
+  // must not pay for empty queues: at P=4096 that would be per-rank cost.
+  sim::Simulation simulation;
+  const auto before = heap_allocs();
+  {
+    mp::Mailbox box(simulation);
+    EXPECT_FALSE(box.recv(mp::kAnySource, mp::kAnyTag).await_ready());
+    EXPECT_FALSE(box.recv(3, 7).await_ready());
+    EXPECT_EQ(box.pending(), 0u);
+  }
+  EXPECT_EQ(heap_allocs() - before, 0u);
+}
+
 // ---------- mailbox matching stays O(active) under many-to-one --------------
 
 TEST(MailboxScan, ManyToOnePinnedAt256) {
@@ -201,127 +217,110 @@ TEST(MailboxScan, ManyToOnePinnedAt256) {
       << "bucketed matching regressed to linear scans";
 }
 
+/// Non-blocking receive through the awaitable's ready check: a match that
+/// is already queued is taken without suspending.
+std::optional<mp::Message> try_take(mp::Mailbox& box, int src, int tag) {
+  auto r = box.recv(src, tag);
+  if (!r.await_ready()) return std::nullopt;
+  return r.await_resume();
+}
+
+/// A message from `src` whose tag carries the test's value.
+mp::Message item(int src, int val) {
+  mp::Message m;
+  m.src = src;
+  m.tag = val;
+  return m;
+}
+
 TEST(MailboxScan, BucketedMatchingPreservesFifoAndCounts) {
-  struct Item {
-    int src;
-    int val;
-  };
-  struct SrcMatch {
-    int src;
-    bool operator()(const Item& it) const { return it.src == src; }
-    [[nodiscard]] int bucket_key() const { return src; }
-  };
   sim::Simulation simulation;
-  sim::Mailbox<Item> box(simulation, +[](const Item& it) { return it.src; });
-  box.push({.src = 1, .val = 10});
-  box.push({.src = 2, .val = 20});
-  box.push({.src = 1, .val = 11});
-  box.push({.src = 2, .val = 21});
+  mp::Mailbox box(simulation);
+  box.push(item(1, 10));
+  box.push(item(2, 20));
+  box.push(item(1, 11));
+  box.push(item(2, 21));
   EXPECT_EQ(box.stats().max_depth, 4u);
 
-  // Bucketed take: oldest item of that source, untouched others intact.
-  auto a = box.try_recv(SrcMatch{2});
+  // Take from one source: its oldest message, the others intact.
+  auto a = try_take(box, 2, mp::kAnyTag);
   ASSERT_TRUE(a.has_value());
-  EXPECT_EQ(a->val, 20);
-  EXPECT_EQ(box.stats().items_scanned, 1u);  // bucket scan never saw src 1
+  EXPECT_EQ(a->tag, 20);
+  EXPECT_EQ(box.stats().items_scanned, 1u);  // the scan never saw src 1
 
-  // Unbucketed take still returns global arrival order.
-  auto b = box.try_recv();
+  // A wildcard-source take still returns global arrival order.
+  auto b = try_take(box, mp::kAnySource, mp::kAnyTag);
   ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(b->val, 10);
+  EXPECT_EQ(b->tag, 10);
 
-  // The bucketed path skips the tombstone left by the global take.
-  auto c = box.try_recv(SrcMatch{1});
+  // Each source's queue stays in arrival order after the global take.
+  auto c = try_take(box, 1, mp::kAnyTag);
   ASSERT_TRUE(c.has_value());
-  EXPECT_EQ(c->val, 11);
-  auto d = box.try_recv(SrcMatch{2});
+  EXPECT_EQ(c->tag, 11);
+  auto d = try_take(box, 2, mp::kAnyTag);
   ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(d->val, 21);
-  EXPECT_FALSE(box.try_recv().has_value());
+  EXPECT_EQ(d->tag, 21);
+  EXPECT_FALSE(try_take(box, mp::kAnySource, mp::kAnyTag).has_value());
   EXPECT_EQ(box.stats().pushes, 4u);
   EXPECT_EQ(box.stats().matches, 4u);
   EXPECT_EQ(box.pending(), 0u);
 }
 
-// ---------- tombstone compaction: long-lived blockers don't pin memory ------
+// ---------- long-lived blockers and interleaved churn -----------------------
 
 TEST(MailboxCompact, LongSoakDepthStaysBounded) {
-  struct Item {
-    int src;
-    int val;
-  };
-  struct SrcMatch {
-    int src;
-    bool operator()(const Item& it) const { return it.src == src; }
-    [[nodiscard]] int bucket_key() const { return src; }
-  };
   sim::Simulation simulation;
-  sim::Mailbox<Item> box(simulation, +[](const Item& it) { return it.src; });
-  // A never-matched message parks at the queue front, so reclaim_front()
-  // can free nothing for the whole soak: every tombstone behind it stays
-  // until a compaction pass sweeps it. This is the scale-study's worst
-  // case -- a straggler's unmatched send outliving thousands of rounds.
-  box.push({.src = 0, .val = 999});
+  mp::Mailbox box(simulation);
+  // A never-matched message from source 0 outlives thousands of rounds of
+  // traffic from source 1 -- the scale study's worst case, a straggler's
+  // unmatched send. The churn must neither disturb nor bury it.
+  box.push(item(0, 999));
   constexpr int kRounds = 20'000;
   for (int i = 0; i < kRounds; ++i) {
-    box.push({.src = 1, .val = i});
-    auto got = box.try_recv(SrcMatch{1});
+    box.push(item(1, i));
+    auto got = try_take(box, 1, mp::kAnyTag);
     ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->val, i);
+    EXPECT_EQ(got->tag, i);
   }
-  // The growth pin: without compaction the physical queue would hold
-  // ~kRounds tombstones behind the blocker.
-  EXPECT_LE(box.buffered(), 64u) << "tombstones accumulated behind a live front entry";
   EXPECT_EQ(box.pending(), 1u);
-  EXPECT_GT(box.stats().compactions, kRounds / 128u);
-  // The blocker survived every rebuild and is still matchable.
-  auto blocker = box.try_recv(SrcMatch{0});
+  EXPECT_EQ(box.stats().max_depth, 2u);
+  // The blocker survived the soak and is still matchable.
+  auto blocker = try_take(box, 0, mp::kAnyTag);
   ASSERT_TRUE(blocker.has_value());
-  EXPECT_EQ(blocker->val, 999);
+  EXPECT_EQ(blocker->tag, 999);
   EXPECT_EQ(box.stats().pushes, kRounds + 1u);
   EXPECT_EQ(box.stats().matches, kRounds + 1u);
   EXPECT_EQ(box.pending(), 0u);
 }
 
 TEST(MailboxCompact, RebuildPreservesArrivalOrderAndBuckets) {
-  struct Item {
-    int src;
-    int val;
-  };
-  struct SrcMatch {
-    int src;
-    bool operator()(const Item& it) const { return it.src == src; }
-    [[nodiscard]] int bucket_key() const { return src; }
-  };
   sim::Simulation simulation;
-  sim::Mailbox<Item> box(simulation, +[](const Item& it) { return it.src; });
-  // Interleave two sources -- three churned src-1 items per retained src-2
-  // item, so tombstones accumulate *between* live entries faster than live
-  // entries do and the queue compacts several times mid-stream.
+  mp::Mailbox box(simulation);
+  // Interleave two sources -- three churned src-1 messages per retained
+  // src-2 message, so taken and kept messages alternate in arrival order.
   constexpr int kItems = 200;
   for (int i = 0; i < kItems; ++i) {
-    for (int k = 0; k < 3; ++k) box.push({.src = 1, .val = 3 * i + k});
-    box.push({.src = 2, .val = i});
+    for (int k = 0; k < 3; ++k) box.push(item(1, 3 * i + k));
+    box.push(item(2, i));
     for (int k = 0; k < 3; ++k) {
-      auto got = box.try_recv(SrcMatch{1});
+      auto got = try_take(box, 1, mp::kAnyTag);
       ASSERT_TRUE(got.has_value());
-      EXPECT_EQ(got->val, 3 * i + k);
+      EXPECT_EQ(got->tag, 3 * i + k);
     }
   }
-  EXPECT_GT(box.stats().compactions, 0u);
   EXPECT_EQ(box.pending(), static_cast<std::size_t>(kItems));
-  // Unbucketed take still returns global arrival order...
-  auto first = box.try_recv();
+  // A wildcard-source take still returns global arrival order...
+  auto first = try_take(box, mp::kAnySource, mp::kAnyTag);
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->src, 2);
-  EXPECT_EQ(first->val, 0);
-  // ...and the rebuilt bucket index drains the rest in arrival order.
+  EXPECT_EQ(first->tag, 0);
+  // ...and the source's queue drains the rest in arrival order.
   for (int i = 1; i < kItems; ++i) {
-    auto got = box.try_recv(SrcMatch{2});
+    auto got = try_take(box, 2, mp::kAnyTag);
     ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->val, i);
+    EXPECT_EQ(got->tag, i);
   }
-  EXPECT_FALSE(box.try_recv().has_value());
+  EXPECT_FALSE(try_take(box, mp::kAnySource, mp::kAnyTag).has_value());
   EXPECT_EQ(box.pending(), 0u);
 }
 

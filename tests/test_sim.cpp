@@ -1,9 +1,10 @@
 // Unit tests for the simulation kernel: time arithmetic, event ordering,
-// coroutine tasks, delays, mailboxes, resources, locks, RNG and stats.
+// coroutine tasks, delays, resources, locks, RNG and stats.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <coroutine>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -15,7 +16,6 @@
 
 #include "sim/event_queue.hpp"
 #include "sim/frame_pool.hpp"
-#include "sim/mailbox.hpp"
 #include "sim/resource.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulation.hpp"
@@ -306,10 +306,9 @@ TEST(Simulation, RootProcessExceptionSurfacesFromRun) {
 
 TEST(Simulation, DeadlockIsDetected) {
   Simulation sim;
-  auto box = std::make_unique<Mailbox<int>>(sim);
-  sim.spawn([](Mailbox<int>& b) -> Task<> {
-    (void)co_await b.recv();  // nobody ever sends
-  }(*box), "starved");
+  sim.spawn([]() -> Task<> {
+    co_await std::suspend_always{};  // nothing ever resumes it
+  }(), "starved");
   EXPECT_THROW(sim.run(), DeadlockDetected);
 }
 
@@ -320,55 +319,6 @@ TEST(Simulation, EventBudgetGuardsRunaways) {
     for (;;) co_await s.delay(microseconds(1));
   }(sim));
   EXPECT_THROW(sim.run(), EventBudgetExceeded);
-}
-
-TEST(Mailbox, FifoAndMatcherSelection) {
-  Simulation sim;
-  Mailbox<int> box(sim);
-  std::vector<int> got;
-  sim.spawn([](Simulation& s, Mailbox<int>& b, std::vector<int>& got) -> Task<> {
-    co_await s.delay(milliseconds(1));
-    b.push(7);
-    b.push(8);
-    b.push(9);
-    (void)got;
-    co_return;
-  }(sim, box, got), "producer");
-  sim.spawn([](Mailbox<int>& b, std::vector<int>& got) -> Task<> {
-    got.push_back(co_await b.recv([](const int& v) { return v % 2 == 1; }));
-    got.push_back(co_await b.recv([](const int& v) { return v % 2 == 1; }));
-    got.push_back(co_await b.recv());
-  }(box, got), "consumer");
-  sim.run();
-  EXPECT_EQ(got, (std::vector<int>{7, 9, 8}));
-}
-
-TEST(Mailbox, WaiterWokenOnPush) {
-  Simulation sim;
-  Mailbox<int> box(sim);
-  TimePoint when{};
-  sim.spawn([](Simulation& s, Mailbox<int>& b, TimePoint& when) -> Task<> {
-    const int v = co_await b.recv();
-    EXPECT_EQ(v, 5);
-    when = s.now();
-  }(sim, box, when));
-  sim.spawn([](Simulation& s, Mailbox<int>& b) -> Task<> {
-    co_await s.delay(milliseconds(3));
-    b.push(5);
-  }(sim, box));
-  sim.run();
-  EXPECT_EQ(when, TimePoint::origin() + milliseconds(3));
-}
-
-TEST(Mailbox, TryRecvIsNonBlocking) {
-  Simulation sim;
-  Mailbox<int> box(sim);
-  EXPECT_EQ(box.try_recv(), std::nullopt);
-  box.push(3);
-  EXPECT_EQ(box.try_recv([](const int& v) { return v > 5; }), std::nullopt);
-  EXPECT_EQ(box.pending(), 1u);
-  EXPECT_EQ(box.try_recv().value(), 3);
-  EXPECT_EQ(box.pending(), 0u);
 }
 
 TEST(SerialResource, BusyUntilQueueing) {
@@ -411,116 +361,6 @@ TEST(Rng, UniformCoversRangeRoughly) {
   std::vector<int> hits(10, 0);
   for (int i = 0; i < 10000; ++i) ++hits[static_cast<std::size_t>(r.uniform(0, 9))];
   for (int h : hits) EXPECT_GT(h, 800);
-}
-
-// ---------- satellite: mailbox edge cases -----------------------------------
-
-/// A miniature message envelope for wildcard-matching tests: the same shape
-/// the mp layer matches on (source, tag), small enough for MatchPred's
-/// inline context.
-struct Envelope {
-  int src;
-  int tag;
-  int body;
-};
-
-/// Wildcard matcher: -1 matches any source / any tag (PVM pvm_recv(-1, -1),
-/// p4 type -1 semantics).
-struct WildcardMatch {
-  int src;
-  int tag;
-  bool operator()(const Envelope& e) const {
-    return (src < 0 || e.src == src) && (tag < 0 || e.tag == tag);
-  }
-};
-
-TEST(MailboxEdge, WildcardSourceAndTagMatching) {
-  Simulation sim;
-  Mailbox<Envelope> box(sim);
-  std::vector<int> got;
-  sim.spawn([](Simulation& s, Mailbox<Envelope>& b) -> Task<> {
-    co_await s.delay(milliseconds(1));
-    b.push({.src = 2, .tag = 9, .body = 1});
-    b.push({.src = 3, .tag = 5, .body = 2});
-    b.push({.src = 2, .tag = 5, .body = 3});
-  }(sim, box), "producer");
-  sim.spawn([](Mailbox<Envelope>& b, std::vector<int>& got) -> Task<> {
-    // Exact (src, tag) skips earlier queued items.
-    got.push_back((co_await b.recv(WildcardMatch{2, 5})).body);
-    // Wildcard source, exact tag: oldest tag-5 item remaining.
-    got.push_back((co_await b.recv(WildcardMatch{-1, 5})).body);
-    // Full wildcard drains in arrival order.
-    got.push_back((co_await b.recv(WildcardMatch{-1, -1})).body);
-  }(box, got), "consumer");
-  sim.run();
-  EXPECT_EQ(got, (std::vector<int>{3, 2, 1}));
-}
-
-TEST(MailboxEdge, SameTimestampPushesKeepFifoOrder) {
-  // Multiple pushes at one simulated instant must drain in push order, and
-  // a same-instant producer/consumer interleaving must not reorder: the
-  // fast-lane event queue is FIFO within a timestamp.
-  Simulation sim;
-  Mailbox<int> box(sim);
-  std::vector<int> got;
-  sim.spawn([](Simulation& s, Mailbox<int>& b) -> Task<> {
-    co_await s.delay(milliseconds(2));
-    for (int i = 0; i < 6; ++i) b.push(i);  // all at t = 2 ms
-  }(sim, box), "producer");
-  sim.spawn([](Mailbox<int>& b, std::vector<int>& got) -> Task<> {
-    for (int i = 0; i < 6; ++i) got.push_back(co_await b.recv());
-  }(box, got), "consumer");
-  sim.run();
-  EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4, 5}));
-}
-
-TEST(MailboxEdge, CompetingReceiversServedInArrivalOrder) {
-  // Two waiters with overlapping predicates: a push wakes the waiter that
-  // arrived first among those whose matcher accepts, so a selective waiter
-  // is not starved by a wildcard one that arrived later.
-  Simulation sim;
-  Mailbox<Envelope> box(sim);
-  std::vector<std::pair<char, int>> got;
-  sim.spawn([](Mailbox<Envelope>& b, std::vector<std::pair<char, int>>& got) -> Task<> {
-    got.emplace_back('s', (co_await b.recv(WildcardMatch{-1, 7})).body);  // selective, first
-  }(box, got), "selective");
-  sim.spawn([](Simulation& s, Mailbox<Envelope>& b, std::vector<std::pair<char, int>>& got)
-                -> Task<> {
-    co_await s.delay(microseconds(1));
-    got.emplace_back('w', (co_await b.recv(WildcardMatch{-1, -1})).body);  // wildcard, second
-  }(sim, box, got), "wildcard");
-  sim.spawn([](Simulation& s, Mailbox<Envelope>& b) -> Task<> {
-    co_await s.delay(milliseconds(1));
-    b.push({.src = 0, .tag = 7, .body = 10});  // both match; selective waiter wins (older)
-    b.push({.src = 0, .tag = 3, .body = 20});  // only the wildcard waiter matches
-  }(sim, box), "producer");
-  sim.run();
-  ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(got[0], std::make_pair('s', 10));
-  EXPECT_EQ(got[1], std::make_pair('w', 20));
-}
-
-TEST(MailboxEdge, NonMatchingPushQueuesPastBlockedWaiter) {
-  // A waiter whose matcher rejects an item must leave it queued for later
-  // receivers instead of consuming or dropping it.
-  Simulation sim;
-  Mailbox<Envelope> box(sim);
-  int selective = 0, sweeper = 0;
-  sim.spawn([](Mailbox<Envelope>& b, int& selective) -> Task<> {
-    selective = (co_await b.recv(WildcardMatch{5, -1})).body;
-  }(box, selective), "selective");
-  sim.spawn([](Simulation& s, Mailbox<Envelope>& b, int& sweeper) -> Task<> {
-    co_await s.delay(milliseconds(2));
-    sweeper = (co_await b.recv()).body;
-  }(sim, box, sweeper), "sweeper");
-  sim.spawn([](Simulation& s, Mailbox<Envelope>& b) -> Task<> {
-    co_await s.delay(milliseconds(1));
-    b.push({.src = 1, .tag = 0, .body = 111});  // rejected by the selective waiter
-    b.push({.src = 5, .tag = 0, .body = 555});
-  }(sim, box), "producer");
-  sim.run();
-  EXPECT_EQ(selective, 555);
-  EXPECT_EQ(sweeper, 111);
 }
 
 // ---------- timers: schedule_at events ------------------------------------

@@ -16,6 +16,7 @@
 #include <exception>
 #include <string>
 
+#include "cell_args.hpp"
 #include "eval/cell.hpp"
 #include "evald/server.hpp"
 
@@ -45,8 +46,12 @@ int main(int argc, char** argv) {
     if (arg == "--help" || arg == "-h") usage(0);
     else if (arg == "--socket") config.socket_path = value();
     else if (arg == "--store") config.store_path = value();
-    else if (arg == "--model-version") config.model_version = std::strtoull(value().c_str(), nullptr, 0);
-    else usage(2);
+    else if (arg == "--model-version") {
+      if (!pdc::tools::parse_seed(value(), config.model_version)) {
+        std::fprintf(stderr, "pdcevald: bad value for %s\n", arg.c_str());
+        usage(2);
+      }
+    } else usage(2);
   }
 
   // Block the shutdown signals before any thread exists so the accept and
