@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "eval/criteria.hpp"
+#include "eval/sweep.hpp"
 #include "model/pattern_sim.hpp"
 #include "mp/profile.hpp"
 
@@ -300,12 +301,12 @@ double SuiteReport::worst_pattern_median() const {
   return worst;
 }
 
-SuiteReport run_default_suite(const MeasureTpl& measure) {
+SuiteReport run_default_suite(const MeasureTpl& measure, unsigned threads) {
   using eval::Primitive;
   using host::PlatformId;
   using mp::ToolKind;
 
-  SuiteReport suite;
+  std::vector<std::function<CellReport()>> jobs;
   const ToolKind tools[] = {ToolKind::P4, ToolKind::Pvm, ToolKind::Express};
   const PlatformId paper[] = {PlatformId::SunEthernet, PlatformId::AlphaFddi};
   const PlatformId fabrics[] = {PlatformId::ClusterFlat, PlatformId::ClusterFatTree,
@@ -329,31 +330,30 @@ SuiteReport run_default_suite(const MeasureTpl& measure) {
   const std::vector<HoldoutPoint> collective_fabric_holdout = {
       {1536, 6}, {6144, 12}, {12288, 24}, {12288, 32}, {32768, 32}};
 
+  const auto primitive = [&](ToolKind tool, PlatformId platform, Primitive prim,
+                             const TrainGrid& train,
+                             const std::vector<HoldoutPoint>& holdout) {
+    jobs.emplace_back([&measure, &train, &holdout, tool, platform, prim] {
+      return cross_validate_primitive(tool, platform, prim, train, holdout, measure);
+    });
+  };
   for (ToolKind tool : tools) {
     for (PlatformId platform : paper) {
-      suite.cells.push_back(cross_validate_primitive(
-          tool, platform, Primitive::SendRecv, pingpong_train, pingpong_holdout, measure));
-      suite.cells.push_back(cross_validate_primitive(tool, platform, Primitive::Broadcast,
-                                                     collective_paper,
-                                                     collective_paper_holdout, measure));
+      primitive(tool, platform, Primitive::SendRecv, pingpong_train, pingpong_holdout);
+      primitive(tool, platform, Primitive::Broadcast, collective_paper,
+                collective_paper_holdout);
       if (tool != ToolKind::Pvm) {
-        suite.cells.push_back(cross_validate_primitive(tool, platform,
-                                                       Primitive::GlobalSum,
-                                                       collective_paper,
-                                                       collective_paper_holdout, measure));
+        primitive(tool, platform, Primitive::GlobalSum, collective_paper,
+                  collective_paper_holdout);
       }
     }
     for (PlatformId platform : fabrics) {
-      suite.cells.push_back(cross_validate_primitive(
-          tool, platform, Primitive::SendRecv, pingpong_train, pingpong_holdout, measure));
-      suite.cells.push_back(cross_validate_primitive(tool, platform, Primitive::Broadcast,
-                                                     collective_fabric,
-                                                     collective_fabric_holdout, measure));
+      primitive(tool, platform, Primitive::SendRecv, pingpong_train, pingpong_holdout);
+      primitive(tool, platform, Primitive::Broadcast, collective_fabric,
+                collective_fabric_holdout);
       if (tool != ToolKind::Pvm) {
-        suite.cells.push_back(cross_validate_primitive(tool, platform,
-                                                       Primitive::GlobalSum,
-                                                       collective_fabric,
-                                                       collective_fabric_holdout, measure));
+        primitive(tool, platform, Primitive::GlobalSum, collective_fabric,
+                  collective_fabric_holdout);
       }
     }
   }
@@ -361,6 +361,11 @@ SuiteReport run_default_suite(const MeasureTpl& measure) {
   // -- composed patterns on the switched platforms (the composition
   //    algebra assumes per-link resources; the shared-Ethernet bus wants a
   //    contention-aware algebra -- see DESIGN 5.16).
+  const auto pattern = [&](ToolKind tool, PlatformId platform, PatternConfig config) {
+    jobs.emplace_back([&measure, tool, platform, config = std::move(config)] {
+      return cross_validate_pattern(tool, platform, config, measure);
+    });
+  };
   const PlatformId switched[] = {PlatformId::AlphaFddi, PlatformId::ClusterFlat,
                                  PlatformId::ClusterFatTree, PlatformId::ClusterDragonfly};
   for (ToolKind tool : {ToolKind::P4, ToolKind::Express}) {
@@ -376,7 +381,7 @@ SuiteReport run_default_suite(const MeasureTpl& measure) {
       pipeline.tasks = 16;
       pipeline.flops = flops;
       pipeline.train = pingpong_train;
-      suite.cells.push_back(cross_validate_pattern(tool, platform, pipeline, measure));
+      pattern(tool, platform, std::move(pipeline));
 
       PatternConfig mapreduce;
       mapreduce.kind = PatternKind::MapReduce;
@@ -387,7 +392,7 @@ SuiteReport run_default_suite(const MeasureTpl& measure) {
       mapreduce.flops = flops;
       mapreduce.train = platform == PlatformId::AlphaFddi ? collective_paper
                                                           : collective_fabric;
-      suite.cells.push_back(cross_validate_pattern(tool, platform, mapreduce, measure));
+      pattern(tool, platform, std::move(mapreduce));
 
       PatternConfig taskpool;
       taskpool.kind = PatternKind::TaskPool;
@@ -396,9 +401,14 @@ SuiteReport run_default_suite(const MeasureTpl& measure) {
       taskpool.tasks = 24;
       taskpool.flops = flops;
       taskpool.train = pingpong_train;
-      suite.cells.push_back(cross_validate_pattern(tool, platform, taskpool, measure));
+      pattern(tool, platform, std::move(taskpool));
     }
   }
+
+  SuiteReport suite;
+  suite.cells.resize(jobs.size());
+  eval::parallel_for_index(jobs.size(), threads,
+                           [&](std::size_t i) { suite.cells[i] = jobs[i](); });
   return suite;
 }
 

@@ -24,6 +24,8 @@ namespace pdc::model {
 
 /// Where measurements come from: takes a batch of TPL cell specs, returns
 /// one result per spec in order (Unsupported = tool lacks the primitive).
+/// run_default_suite may call it from several threads at once, so a
+/// measure shared by the suite's cells must be safe to call concurrently.
 using MeasureTpl =
     std::function<std::vector<eval::CellResult>(const std::vector<eval::CellSpec>&)>;
 
@@ -127,7 +129,14 @@ struct SuiteReport {
   [[nodiscard]] double worst_pattern_median() const;
 };
 
-[[nodiscard]] SuiteReport run_default_suite(const MeasureTpl& measure);
+/// Cross-validate the suite's 64 cells across `threads` sweep workers (0 =
+/// resolve from PDC_SWEEP_THREADS as usual). Each cell's report keeps its
+/// fixed slot, so the suite is byte-identical at any width; a sweep that
+/// `measure` starts inside a cell runs inline on that cell's worker. If
+/// cells fail, the error of the first failing cell in suite order is
+/// rethrown.
+[[nodiscard]] SuiteReport run_default_suite(const MeasureTpl& measure,
+                                            unsigned threads = 0);
 
 [[nodiscard]] std::string to_json(const CellReport& r);
 [[nodiscard]] std::string to_json(const SuiteReport& r);

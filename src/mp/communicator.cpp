@@ -462,20 +462,20 @@ void emit_compute(sim::Simulation& sim, std::int16_t node, sim::Duration d) {
 
 }  // namespace
 
-sim::Task<void> Communicator::compute_flops(double flops) {
+sim::Simulation::DelayAwaiter Communicator::compute_flops(double flops) {
   const sim::Duration d = node().cpu().compute(flops);
   emit_compute(sim(), trace_node(rank_), d);
-  co_await sim().delay(d);
+  return sim().delay(d);
 }
-sim::Task<void> Communicator::compute_intops(double ops) {
+sim::Simulation::DelayAwaiter Communicator::compute_intops(double ops) {
   const sim::Duration d = node().cpu().int_ops(ops);
   emit_compute(sim(), trace_node(rank_), d);
-  co_await sim().delay(d);
+  return sim().delay(d);
 }
-sim::Task<void> Communicator::compute_copy(std::int64_t bytes) {
+sim::Simulation::DelayAwaiter Communicator::compute_copy(std::int64_t bytes) {
   const sim::Duration d = node().cpu().copy(bytes);
   emit_compute(sim(), trace_node(rank_), d);
-  co_await sim().delay(d);
+  return sim().delay(d);
 }
 
 }  // namespace pdc::mp

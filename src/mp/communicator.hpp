@@ -84,13 +84,16 @@ class Communicator {
   sim::Task<void> global_sum(std::vector<std::int32_t>& v);
 
   // -- compute billing -----------------------------------------------------
+  //
+  // Each emits its trace record and returns the delay's awaiter, so a
+  // billed step costs no coroutine frame. Await the result at once.
 
   /// Bill floating-point work to this rank's simulated CPU.
-  sim::Task<void> compute_flops(double flops);
+  [[nodiscard]] sim::Simulation::DelayAwaiter compute_flops(double flops);
   /// Bill integer/compare-bound work (sorting, encoding).
-  sim::Task<void> compute_intops(double ops);
+  [[nodiscard]] sim::Simulation::DelayAwaiter compute_intops(double ops);
   /// Bill one memory copy of `bytes`.
-  sim::Task<void> compute_copy(std::int64_t bytes);
+  [[nodiscard]] sim::Simulation::DelayAwaiter compute_copy(std::int64_t bytes);
 
  private:
   template <typename T>

@@ -75,23 +75,25 @@ class Simulation {
   /// some root process never finished.
   TimePoint run(TimePoint until = {std::numeric_limits<std::int64_t>::max()});
 
+  /// What delay() returns: resumes the awaiting coroutine `d` later.
+  struct DelayAwaiter {
+    Simulation& sim;
+    Duration d;
+    [[nodiscard]] bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) const {
+      sim.schedule_resume(sim.now() + d, h);
+    }
+    void await_resume() const noexcept {}
+  };
+
   /// Awaitable: suspend the calling process for `d` (>= 0) simulated time.
-  [[nodiscard]] auto delay(Duration d) {
-    struct Awaiter {
-      Simulation& sim;
-      Duration d;
-      [[nodiscard]] bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) const {
-        sim.schedule_resume(sim.now() + d, h);
-      }
-      void await_resume() const noexcept {}
-    };
+  [[nodiscard]] DelayAwaiter delay(Duration d) {
     if (d < Duration::zero()) throw std::invalid_argument("Simulation::delay: negative duration");
-    return Awaiter{*this, d};
+    return DelayAwaiter{*this, d};
   }
 
   /// Awaitable: suspend until absolute time `at` (clamped to now()).
-  [[nodiscard]] auto delay_until(TimePoint at) {
+  [[nodiscard]] DelayAwaiter delay_until(TimePoint at) {
     return delay(at > now_ ? at - now_ : Duration::zero());
   }
 

@@ -314,6 +314,49 @@ TEST(CrossVal, PatternSimsMatchDirectInvocation) {
                    .has_value());
 }
 
+// -- the canonical suite -----------------------------------------------------
+
+TEST(ModelSuite, ReportIsByteIdenticalAtEveryWidth) {
+  const SuiteReport serial = run_default_suite(direct_measure(1), 1);
+  const SuiteReport fanned = run_default_suite(direct_measure(4), 4);
+  EXPECT_EQ(to_json(serial), to_json(fanned));
+  EXPECT_EQ(serial.cells.size(), 64u);
+  // The documented gates (README, EXPERIMENTS.md, CI model-smoke).
+  EXPECT_LE(serial.worst_primitive_median(), 0.15);
+  EXPECT_LE(serial.worst_pattern_median(), 0.25);
+}
+
+TEST(ModelSuite, FailingMeasureRaisesTheLowestIndexCellsError) {
+  // Every fat-tree measurement fails, naming its tool; the rest return a
+  // synthetic linear time so the suite costs only its pattern simulations.
+  const MeasureTpl fattree_fails = [](const std::vector<eval::CellSpec>& cells) {
+    std::vector<eval::CellResult> out(cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      const eval::TplCell& c = cells[i].tpl;
+      if (c.platform == PlatformId::ClusterFatTree) {
+        out[i].status = eval::CellStatus::Error;
+        out[i].error = std::string("no fat tree for ") + mp::to_string(c.tool);
+      } else {
+        out[i].tpl_ms = 0.1 + 1e-4 * static_cast<double>(c.bytes + c.global_sum_ints) +
+                        0.01 * c.procs;
+      }
+    }
+    return out;
+  };
+  // Suite order: p4 on ethernet and fddi (3 cells each), on flat, then its
+  // fat-tree ping-pong -- the first cell that fails.
+  const std::string first = "cross-validate p4/CLUSTER/FatTree/Send/Receive: cell error: "
+                            "no fat tree for p4";
+  for (const unsigned threads : {1u, 4u}) {
+    try {
+      (void)run_default_suite(fattree_fails, threads);
+      FAIL() << "expected std::runtime_error at width " << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), first) << "width " << threads;
+    }
+  }
+}
+
 // -- JSON shapes ------------------------------------------------------------
 
 TEST(ModelJson, ReportsPassTheRecursiveDescentChecker) {

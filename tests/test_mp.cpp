@@ -478,6 +478,32 @@ TEST(Parcel, DeadlockReleasesUnmatchedPayloads) {
   EXPECT_EQ(held.use_count(), 1);
 }
 
+TEST(Compute, BillingTakesNoFramePoolBlock) {
+  // compute_flops / compute_intops / compute_copy hand back the delay's
+  // awaiter rather than a coroutine, so billing a step allocates no frame
+  // and the rank still resumes exactly the billed time later.
+  sim::Simulation simulation;
+  host::Cluster cluster(simulation, PlatformId::AlphaFddi, 1);
+  Runtime runtime(cluster, ToolKind::P4);
+  std::uint64_t blocks = ~std::uint64_t{0};
+  sim::TimePoint done{};
+  auto program = [&](Communicator& c) -> sim::Task<void> {
+    auto& pool = sim::FramePool::local();
+    const auto taken = [&pool] { return pool.stats().hits + pool.stats().misses; };
+    const std::uint64_t before = taken();
+    co_await c.compute_flops(1.0e6);
+    co_await c.compute_intops(2.0e5);
+    co_await c.compute_copy(4096);
+    blocks = taken() - before;
+    done = simulation.now();
+  };
+  simulation.spawn(program(runtime.comm(0)));
+  simulation.run();
+  EXPECT_EQ(blocks, 0u);
+  const host::CpuModel& cpu = cluster.node(0).cpu();
+  EXPECT_EQ(done.ns, (cpu.compute(1.0e6) + cpu.int_ops(2.0e5) + cpu.copy(4096)).ns);
+}
+
 // ---------- mailbox: (source, tag) matching ---------------------------------
 
 using sim::milliseconds;

@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <exception>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -56,7 +57,8 @@ using pdc::model::TrainGrid;
                "  --holdout SIZE:PROCS     held-out validation point (repeatable)\n"
                "  --bytes N --tasks N --ints N --flops F   composed-pattern workload\n"
                "  --server PATH            fetch training data from a pdcevald daemon\n"
-               "  --threads N              sweep worker threads (default: env/auto)\n"
+               "  --threads N              sweep worker threads, also the --suite cell\n"
+               "                           fan-out (default: env/auto)\n"
                "  --gate X                 exit 1 if median rel. error > X (--crossval)\n"
                "  --gate-primitive X --gate-pattern X    same for --suite\n"
                "  --json                   print reports as JSON\n",
@@ -79,12 +81,24 @@ using pdc::model::TrainGrid;
 }
 
 /// Measure through a pdcevald daemon: ships the batch as one sweep frame
-/// and returns the daemon's results in cell order.
+/// and returns the daemon's results in cell order. The suite measures from
+/// several threads at once and the client is one socket, so a mutex keeps
+/// each request and its reply together.
 [[nodiscard]] MeasureTpl daemon_measure(const std::string& socket_path) {
-  auto client = std::make_shared<pdc::evald::Client>(socket_path);
-  return [client](const std::vector<pdc::eval::CellSpec>& specs) {
+  struct Daemon {
+    explicit Daemon(const std::string& path) : client(path) {}
+    std::mutex mu;
+    pdc::evald::Client client;
+  };
+  auto daemon = std::make_shared<Daemon>(socket_path);
+  return [daemon](const std::vector<pdc::eval::CellSpec>& specs) {
+    std::vector<pdc::evald::Client::Outcome> outcomes;
+    {
+      const std::scoped_lock lock(daemon->mu);
+      outcomes = daemon->client.sweep(specs);
+    }
     std::vector<pdc::eval::CellResult> results;
-    for (auto& out : client->sweep(specs)) results.push_back(std::move(out.result));
+    for (auto& out : outcomes) results.push_back(std::move(out.result));
     return results;
   };
 }
@@ -249,7 +263,8 @@ int main(int argc, char** argv) {
         break;
       }
       case Mode::Suite: {
-        const SuiteReport suite = pdc::model::run_default_suite(measure);
+        const SuiteReport suite =
+            pdc::model::run_default_suite(measure, static_cast<unsigned>(threads));
         if (json) std::printf("%s\n", pdc::model::to_json(suite).c_str());
         else {
           for (const CellReport& r : suite.cells) {
