@@ -63,64 +63,76 @@ Handoff Communicator::direct_handoff(int dst, std::int64_t bytes) const {
                      packets_for(bytes) * p.per_packet_recv};
 }
 
-sim::Task<void> Communicator::send(int dst, int tag, Payload payload) {
+Communicator::SendAwaiter Communicator::send(int dst, int tag, Payload payload) {
   if (dst < 0 || dst >= size()) throw std::out_of_range("Communicator::send: bad destination");
-  const std::int64_t n = payload ? static_cast<std::int64_t>(payload->size()) : 0;
-  const auto& prof = profile();
+  return SendAwaiter(*this, dst, tag, std::move(payload));
+}
 
-  std::uint64_t trace_id = 0;
-  std::int64_t send_begin_ns = 0;
+void Communicator::SendAwaiter::await_suspend(std::coroutine_handle<> caller) {
+  caller_ = caller;
+  Communicator& c = comm_;
+  const auto& prof = c.profile();
   if (trace::active()) {
-    trace_id = trace::current()->next_msg_id();
-    send_begin_ns = sim().now().ns;
-    trace::emit({.t_ns = send_begin_ns,
-                 .bytes = n,
-                 .id = trace_id,
+    trace_id_ = trace::current()->next_msg_id();
+    begin_ns_ = c.sim().now().ns;
+    trace::emit({.t_ns = begin_ns_,
+                 .bytes = bytes_,
+                 .id = trace_id_,
                  .kind = trace::Kind::SendBegin,
-                 .rank = trace_node(rank_),
-                 .peer = trace_node(dst),
-                 .tag = tag});
+                 .rank = c.trace_node(c.rank_),
+                 .peer = c.trace_node(dst_),
+                 .tag = tag_});
   }
-  // Closes the blocking span at each of send's exits (the blocking shapes
-  // differ per tool: see the co_returns below).
-  auto emit_send_end = [&] {
-    if (trace::active()) {
-      trace::emit({.t_ns = sim().now().ns,
-                   .bytes = n,
-                   .aux1 = send_begin_ns,
-                   .id = trace_id,
-                   .kind = trace::Kind::SendEnd,
-                   .rank = trace_node(rank_),
-                   .peer = trace_node(dst),
-                   .tag = tag});
-    }
-  };
-
   // Application-side processing. With a background tx engine (Express) the
   // application only pays the fixed handoff; the copies/packetisation run
   // on the engine ahead of the wire.
-  const sim::Duration app_cost = prof.send_in_background ? prof.send_fixed : send_side_cost(n);
+  const sim::Duration app_cost =
+      prof.send_in_background ? prof.send_fixed : c.send_side_cost(bytes_);
   if (trace::active()) {
-    trace::emit({.t_ns = sim().now().ns,
-                 .bytes = n,
+    trace::emit({.t_ns = c.sim().now().ns,
+                 .bytes = bytes_,
                  .aux0 = app_cost.ns,
-                 .id = trace_id,
+                 .id = trace_id_,
                  .kind = trace::Kind::Pack,
-                 .rank = trace_node(rank_),
-                 .peer = trace_node(dst),
-                 .tag = tag});
+                 .rank = c.trace_node(c.rank_),
+                 .peer = c.trace_node(dst_),
+                 .tag = tag_});
   }
-  co_await sim().delay(app_cost);
+  // The hand-off: route the message, then resume the caller.
+  c.sim().schedule_in(app_cost, [this] {
+    const std::optional<sim::TimePoint> blocked_until = comm_.route(
+        dst_,
+        Message{comm_.rank_, tag_, payload_ ? std::move(payload_) : empty_payload(), trace_id_});
+    if (blocked_until) {
+      comm_.sim().schedule_resume(std::max(*blocked_until, comm_.sim().now()), caller_);
+    } else {
+      caller_.resume();  // last: the awaiter ends with the caller's co_await
+    }
+  });
+}
 
-  Parcel* p = rt_.take_parcel(
-      rank_, dst, Message{rank_, tag, payload ? std::move(payload) : empty_payload(), trace_id});
+void Communicator::SendAwaiter::await_resume() const {
+  if (trace::active()) {
+    trace::emit({.t_ns = comm_.sim().now().ns,
+                 .bytes = bytes_,
+                 .aux1 = begin_ns_,
+                 .id = trace_id_,
+                 .kind = trace::Kind::SendEnd,
+                 .rank = comm_.trace_node(comm_.rank_),
+                 .peer = comm_.trace_node(dst_),
+                 .tag = tag_});
+  }
+}
+
+std::optional<sim::TimePoint> Communicator::route(int dst, Message msg) {
+  const std::int64_t n = msg.size_bytes();
+  const auto& prof = profile();
+  Parcel* p = rt_.take_parcel(rank_, dst, std::move(msg));
 
   if (dst == rank_) {
     // Loopback: one memory copy, no wire.
-    const sim::TimePoint at = sim().now() + node().cpu().copy(n);
-    rt_.deliver_at(at, p);
-    emit_send_end();
-    co_return;
+    rt_.deliver_at(sim().now() + node().cpu().copy(n), p);
+    return std::nullopt;
   }
 
   if (prof.send_in_background) {
@@ -133,17 +145,15 @@ sim::Task<void> Communicator::send(int dst, int tag, Payload payload) {
     rt_.sim().schedule_at(e1, [p] { p->rt->kernel_transfer(p); });
     // exsend blocks until the buffer layer has packetised the message (the
     // receive side still pipelines with the wire).
-    if (prof.blocking_send) co_await sim().delay_until(e1);
-    emit_send_end();
-    co_return;
+    if (prof.blocking_send) return e1;
+    return std::nullopt;
   }
 
   if (prof.via_daemon && route_direct_) {
     // PvmRouteDirect: task-to-task TCP, no daemons, no fragment/ack wire
     // protocol; the send stays asynchronous (buffer handed to the kernel).
     rt_.kernel_transfer(p);
-    emit_send_end();
-    co_return;
+    return std::nullopt;
   }
 
   if (prof.via_daemon) {
@@ -160,52 +170,73 @@ sim::Task<void> Communicator::send(int dst, int tag, Payload payload) {
                                     .ack_bytes = 64,
                                     .turnaround = sim::microseconds(250)};
     rt_.sim().schedule_at(d1, [p] { p->rt->kernel_transfer(p); });
-    emit_send_end();
-    co_return;  // pvm_send does not wait for the wire
+    return std::nullopt;  // pvm_send does not wait for the wire
   }
 
   // Direct route (p4, Express).
   p->handoff = direct_handoff(dst, n);
   const sim::TimePoint t1 = rt_.kernel_transfer(p);
-  if (prof.blocking_send) co_await sim().delay_until(t1);
-  emit_send_end();
+  if (prof.blocking_send) return t1;
+  return std::nullopt;
 }
 
-sim::Task<Message> Communicator::recv(int src, int tag) {
-  std::int64_t recv_begin_ns = 0;
-  if (trace::active()) { recv_begin_ns = sim().now().ns; }
-  Message m = co_await rt_.mailbox(rank_).recv(src, tag);
-  std::int64_t match_ns = 0;
-  if (trace::active()) { match_ns = sim().now().ns; }
-  const auto& prof = profile();
+Communicator::RecvAwaiter Communicator::recv(int src, int tag) {
+  return RecvAwaiter(*this, src, tag);
+}
+
+void Communicator::RecvAwaiter::await_suspend(std::coroutine_handle<> caller) {
+  caller_ = caller;
+  if (trace::active()) begin_ns_ = comm_.sim().now().ns;
+  Mailbox& box = comm_.rt_.mailbox(comm_.rank_);
+  slot = box.take(src, tag);
+  if (slot) {
+    matched();
+  } else {
+    box.post(*this);
+  }
+}
+
+void Communicator::RecvAwaiter::wake_on_match(Mailbox::Waiter& w) {
+  static_cast<RecvAwaiter&>(w).matched();
+}
+
+void Communicator::RecvAwaiter::matched() {
+  Communicator& c = comm_;
+  const Message& m = *slot;
+  if (trace::active()) match_ns_ = c.sim().now().ns;
+  const auto& prof = c.profile();
   sim::Duration post = prof.recv_fixed;
   if (!prof.recv_in_background) {
     // In-process unpack (PVM XDR decode, p4 buffer copy).
-    post += sim::from_seconds(prof.recv_copies * node().cpu().copy(m.size_bytes()).seconds());
+    post += sim::from_seconds(prof.recv_copies * c.node().cpu().copy(m.size_bytes()).seconds());
   }
   if (trace::active()) {
-    trace::emit({.t_ns = match_ns,
+    trace::emit({.t_ns = match_ns_,
                  .bytes = m.size_bytes(),
                  .aux0 = post.ns,
                  .id = m.trace_id,
                  .kind = trace::Kind::Unpack,
-                 .rank = trace_node(rank_),
-                 .peer = trace_node(m.src),
+                 .rank = c.trace_node(c.rank_),
+                 .peer = c.trace_node(m.src),
                  .tag = m.tag});
   }
-  co_await sim().delay(post);
+  c.sim().schedule_resume(c.sim().now() + post, caller_);
+}
+
+Message Communicator::RecvAwaiter::await_resume() {
+  Message& m = *slot;
   if (trace::active()) {
-    trace::emit({.t_ns = sim().now().ns,
+    trace::emit({.t_ns = comm_.sim().now().ns,
                  .bytes = m.size_bytes(),
-                 .aux0 = match_ns,
-                 .aux1 = recv_begin_ns,
+                 .aux0 = match_ns_,
+                 .aux1 = begin_ns_,
                  .id = m.trace_id,
                  .kind = trace::Kind::RecvEnd,
-                 .rank = trace_node(rank_),
-                 .peer = trace_node(m.src),
+                 .rank = comm_.trace_node(comm_.rank_),
+                 .peer = comm_.trace_node(m.src),
                  .tag = m.tag});
   }
-  co_return m;
+  return std::move(m);
 }
 
 // -- collectives -------------------------------------------------------------
@@ -441,10 +472,10 @@ sim::Task<void> Communicator::reduce_recursive_doubling(std::vector<T>& v) {
 }
 
 sim::Task<void> Communicator::global_sum(std::vector<double>& v) {
-  co_await global_sum_impl(v);
+  return global_sum_impl(v);
 }
 sim::Task<void> Communicator::global_sum(std::vector<std::int32_t>& v) {
-  co_await global_sum_impl(v);
+  return global_sum_impl(v);
 }
 
 // -- compute billing ----------------------------------------------------------

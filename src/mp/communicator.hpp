@@ -6,12 +6,18 @@
 // architectural claims in DESIGN.md live in exactly one place and apply
 // uniformly to micro-benchmarks and applications.
 //
-// All operations are coroutines: `co_await comm.send(...)`. Costs are
-// billed in simulated time; payload bytes are really moved.
+// Every operation is awaited: `co_await comm.send(...)`. send, recv and the
+// compute billing are awaiters whose state lives in the caller's frame, so
+// the per-message path allocates no coroutine frame; the collectives are
+// coroutines built on them. Costs are billed in simulated time; payload
+// bytes are really moved.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "host/node.hpp"
@@ -42,11 +48,18 @@ class Communicator {
   }
 
   // -- point to point ------------------------------------------------------
+  //
+  // send and recv return awaiters. Await the result at once: the awaiter
+  // holds the operation's state, and the events it schedules point at it.
+
+  class SendAwaiter;
+  class RecvAwaiter;
 
   /// Send `payload` to rank `dst` with `tag`. Blocking semantics follow the
   /// tool (p4/Express: returns when the kernel has taken the data; PVM:
-  /// returns once the local pvmd has the buffer).
-  sim::Task<void> send(int dst, int tag, Payload payload);
+  /// returns once the local pvmd has the buffer). Throws std::out_of_range
+  /// for a destination outside the communicator.
+  [[nodiscard]] SendAwaiter send(int dst, int tag, Payload payload);
 
   /// Routing hint mirroring pvm_setopt(PvmRouteDirect): task-to-task TCP
   /// connections that bypass the pvmd daemons. Honoured by PVM only; a
@@ -59,7 +72,7 @@ class Communicator {
 
   /// Receive the oldest message matching (src, tag); kAnySource/kAnyTag act
   /// as wildcards.
-  sim::Task<Message> recv(int src = kAnySource, int tag = kAnyTag);
+  [[nodiscard]] RecvAwaiter recv(int src = kAnySource, int tag = kAnyTag);
 
   // -- collectives ---------------------------------------------------------
 
@@ -103,6 +116,11 @@ class Communicator {
   template <typename T>
   sim::Task<void> reduce_recursive_doubling(std::vector<T>& v);
 
+  /// Hand a sent message to the fabric along the tool's route, once send's
+  /// application-side cost is paid. Returns when a blocking send resumes
+  /// (clamped to now by the caller), or nullopt when it returns at once.
+  [[nodiscard]] std::optional<sim::TimePoint> route(int dst, Message msg);
+
   [[nodiscard]] std::int64_t packets_for(std::int64_t bytes) const noexcept;
   [[nodiscard]] sim::Duration send_side_cost(std::int64_t bytes) const;
   [[nodiscard]] sim::Duration daemon_service(std::int64_t bytes) const;
@@ -120,6 +138,64 @@ class Communicator {
   Runtime& rt_;
   int rank_;
   bool route_direct_{false};
+};
+
+/// What send returns. Suspending emits SendBegin and Pack and schedules the
+/// hand-off at the end of the application-side cost; that event routes the
+/// message and resumes the caller, inline or, for a blocking tool, when the
+/// kernel has taken the data. Resuming emits SendEnd.
+class Communicator::SendAwaiter {
+ public:
+  SendAwaiter(const SendAwaiter&) = delete;
+  SendAwaiter& operator=(const SendAwaiter&) = delete;
+
+  [[nodiscard]] bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> caller);
+  void await_resume() const;
+
+ private:
+  friend class Communicator;
+  SendAwaiter(Communicator& comm, int dst, int tag, Payload payload) noexcept
+      : comm_(comm),
+        dst_(dst),
+        tag_(tag),
+        bytes_(payload ? static_cast<std::int64_t>(payload->size()) : 0),
+        payload_(std::move(payload)) {}
+
+  Communicator& comm_;
+  int dst_;
+  int tag_;
+  std::int64_t bytes_;
+  Payload payload_;  ///< moved into the message at the hand-off
+  std::coroutine_handle<> caller_;
+  std::uint64_t trace_id_{0};
+  std::int64_t begin_ns_{0};
+};
+
+/// What recv returns: a posted mailbox waiter. Once a message matches
+/// (at suspension, or at the wake event of the push that brings it) it
+/// emits Unpack and resumes the caller after the receive cost. Resuming
+/// emits RecvEnd and hands over the message.
+class Communicator::RecvAwaiter : Mailbox::Waiter {
+ public:
+  RecvAwaiter(const RecvAwaiter&) = delete;
+  RecvAwaiter& operator=(const RecvAwaiter&) = delete;
+
+  [[nodiscard]] bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> caller);
+  Message await_resume();
+
+ private:
+  friend class Communicator;
+  RecvAwaiter(Communicator& comm, int src, int tag) noexcept
+      : Mailbox::Waiter{src, tag, &RecvAwaiter::wake_on_match}, comm_(comm) {}
+  static void wake_on_match(Mailbox::Waiter& w);
+  void matched();
+
+  Communicator& comm_;
+  std::coroutine_handle<> caller_;
+  std::int64_t begin_ns_{0};
+  std::int64_t match_ns_{0};
 };
 
 // Internal tags (top of the tag space; user code should stay below 1<<20).

@@ -1,10 +1,12 @@
 // pdceval -- a rank's mailbox: tagged point-to-point matching.
 //
 // Every tool's receive is a (source, tag) match with wildcards (p4 types,
-// PVM tags, Express types). A process awaits `recv(src, tag)` and resumes
-// with the oldest queued message that matches, or, when none is queued,
-// with the first matching message pushed later. A push goes to the
-// earliest-posted waiter that accepts it; otherwise it queues.
+// PVM tags, Express types). A receiver takes the oldest queued message that
+// matches, or, when none is queued, posts a `Waiter` and gets the first
+// matching message pushed later. A push goes to the earliest-posted waiter
+// that accepts it, filling its slot and scheduling its wake at the push's
+// time; otherwise it queues. `recv(src, tag)` is the plain awaitable over
+// that protocol; `Communicator::recv` builds its own awaiter on it.
 //
 // Queued messages sit in one FIFO per source, each stamped with its arrival
 // number. A recv from a named source scans only that source's FIFO, so
@@ -55,8 +57,20 @@ class Mailbox {
   Mailbox(const Mailbox&) = delete;
   Mailbox& operator=(const Mailbox&) = delete;
 
+  /// A posted recv. It lives in the receiver's coroutine frame (inside its
+  /// awaiter) and is linked into the mailbox's FIFO of waiters, so posting
+  /// a recv allocates nothing. The push that matches it fills `slot` and
+  /// schedules `wake(*this)`: one event carrying the waiter's pointer.
+  struct Waiter {
+    int src;
+    int tag;
+    void (*wake)(Waiter&);
+    std::optional<Message> slot{};
+    Waiter* next{nullptr};
+  };
+
   /// Deliver a message: to the earliest-posted waiter that matches it
-  /// (resumed via the scheduler), else into its source's FIFO.
+  /// (woken via the scheduler), else into its source's FIFO.
   void push(Message msg) {
     ++stats_.pushes;
     for (Waiter** link = &first_waiter_; *link != nullptr; link = &(*link)->next) {
@@ -65,7 +79,7 @@ class Mailbox {
         *link = w->next;
         if (last_waiter_ == &w->next) last_waiter_ = link;
         w->slot.emplace(std::move(msg));
-        sim_.schedule_resume(sim_.now(), w->handle);
+        sim_.schedule_at(sim_.now(), [w] { w->wake(*w); });
         return;
       }
     }
@@ -74,63 +88,9 @@ class Mailbox {
     if (++pending_ > stats_.max_depth) stats_.max_depth = pending_;
   }
 
-  /// Awaitable receive of the oldest message matching (src, tag);
-  /// kAnySource / kAnyTag are wildcards.
-  [[nodiscard]] auto recv(int src, int tag) {
-    struct Awaiter {
-      Mailbox& box;
-      Waiter w;
-
-      [[nodiscard]] bool await_ready() {
-        w.slot = box.take(w.src, w.tag);
-        return w.slot.has_value();
-      }
-      void await_suspend(std::coroutine_handle<> h) {
-        w.handle = h;
-        *box.last_waiter_ = &w;
-        box.last_waiter_ = &w.next;
-      }
-      Message await_resume() { return std::move(*w.slot); }
-    };
-    return Awaiter{*this, Waiter{src, tag, std::nullopt, {}, nullptr}};
-  }
-
-  [[nodiscard]] std::size_t pending() const noexcept { return pending_; }
-  [[nodiscard]] const MailboxStats& stats() const noexcept { return stats_; }
-
- private:
-  struct Queued {
-    std::uint64_t seq;  ///< arrival number across all sources
-    Message msg;
-  };
-  using Fifo = std::deque<Queued>;
-
-  /// A posted recv. It lives in the waiting coroutine's frame (inside the
-  /// awaiter) and is linked into the mailbox's FIFO of waiters, so posting
-  /// a recv allocates nothing. Its size also keeps Communicator::recv's
-  /// frame in the same FramePool class as Communicator::send's, which the
-  /// pool's hit rate at large P depends on (EXPERIMENTS.md, "One message
-  /// mailbox").
-  struct Waiter {
-    int src;
-    int tag;
-    std::optional<Message> slot;
-    std::coroutine_handle<> handle;
-    Waiter* next;
-  };
-
-  /// Index of the first message in `fifo` matching (src, tag), or
-  /// fifo.size(); counts every message it examines.
-  std::size_t first_match(const Fifo& fifo, int src, int tag) {
-    std::size_t i = 0;
-    for (; i < fifo.size(); ++i) {
-      ++stats_.items_scanned;
-      if (fifo[i].msg.matches(src, tag)) break;
-    }
-    return i;
-  }
-
-  std::optional<Message> take(int src, int tag) {
+  /// Take the oldest queued message matching (src, tag); kAnySource /
+  /// kAnyTag are wildcards.
+  [[nodiscard]] std::optional<Message> take(int src, int tag) {
     auto hit = by_src_.end();
     std::size_t at = 0;
     if (src != kAnySource) {
@@ -156,6 +116,56 @@ class Mailbox {
     --pending_;
     ++stats_.matches;
     return out;
+  }
+
+  /// Queue `w` behind the waiters already posted. Call it only when
+  /// `take(w.src, w.tag)` found nothing.
+  void post(Waiter& w) noexcept {
+    *last_waiter_ = &w;
+    last_waiter_ = &w.next;
+  }
+
+  /// Awaitable receive of the oldest message matching (src, tag). Its
+  /// `await_ready()` takes an already-queued match, so it doubles as a
+  /// non-blocking probe.
+  [[nodiscard]] auto recv(int src, int tag) {
+    struct Awaiter : Waiter {
+      Mailbox& box;
+      std::coroutine_handle<> handle;
+
+      static void resume(Waiter& w) { static_cast<Awaiter&>(w).handle.resume(); }
+      [[nodiscard]] bool await_ready() {
+        slot = box.take(src, tag);
+        return slot.has_value();
+      }
+      void await_suspend(std::coroutine_handle<> h) {
+        handle = h;
+        box.post(*this);
+      }
+      Message await_resume() { return std::move(*slot); }
+    };
+    return Awaiter{{src, tag, &Awaiter::resume}, *this, {}};
+  }
+
+  [[nodiscard]] std::size_t pending() const noexcept { return pending_; }
+  [[nodiscard]] const MailboxStats& stats() const noexcept { return stats_; }
+
+ private:
+  struct Queued {
+    std::uint64_t seq;  ///< arrival number across all sources
+    Message msg;
+  };
+  using Fifo = std::deque<Queued>;
+
+  /// Index of the first message in `fifo` matching (src, tag), or
+  /// fifo.size(); counts every message it examines.
+  std::size_t first_match(const Fifo& fifo, int src, int tag) {
+    std::size_t i = 0;
+    for (; i < fifo.size(); ++i) {
+      ++stats_.items_scanned;
+      if (fifo[i].msg.matches(src, tag)) break;
+    }
+    return i;
   }
 
   sim::Simulation& sim_;

@@ -6,11 +6,12 @@
 // `resume()` -- no type erasure, no indirection, no allocation. Arbitrary
 // callables are carried in a 16-byte inline buffer (relocated by memcpy when
 // trivially copyable); only callables larger than the buffer spill to one
-// block from the thread-local FramePool freelist (malloc-free once warm).
+// heap block.
 //
 // The budget is two words because every event the kernel schedules needs no
 // more: the mp runtime's message hops capture one `Parcel*` (plus at most
-// one scalar), and a coroutine resume is one handle. An event is 24 bytes,
+// one scalar), a send's or a mailbox wake's capture is one awaiter or
+// waiter pointer, and a coroutine resume is one handle. An event is 24 bytes,
 // so an event-queue entry (time, sequence, event) is 40.
 #pragma once
 
@@ -21,8 +22,6 @@
 #include <new>
 #include <type_traits>
 #include <utility>
-
-#include "sim/frame_pool.hpp"
 
 namespace pdc::sim {
 
@@ -58,15 +57,7 @@ class Event {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
       ops_ = &kInlineOps<Fn>;
     } else {
-      void* mem = FramePool::local().allocate(sizeof(Fn));
-      Fn* fn;
-      try {
-        fn = ::new (mem) Fn(std::forward<F>(f));
-      } catch (...) {
-        FramePool::local().deallocate(mem, sizeof(Fn));
-        throw;
-      }
-      ::new (static_cast<void*>(storage_)) Fn*(fn);
+      ::new (static_cast<void*>(storage_)) Fn*(new Fn(std::forward<F>(f)));
       ops_ = &kHeapOps<Fn>;
     }
   }
@@ -131,11 +122,7 @@ class Event {
   static constexpr Ops kHeapOps{
       [](void* s) { (**std::launder(reinterpret_cast<Fn**>(s)))(); },
       nullptr,  // the stored pointer relocates by memcpy
-      [](void* s) noexcept {
-        Fn* fn = *std::launder(reinterpret_cast<Fn**>(s));
-        fn->~Fn();
-        FramePool::local().deallocate(fn, sizeof(Fn));
-      },
+      [](void* s) noexcept { delete *std::launder(reinterpret_cast<Fn**>(s)); },
   };
 
   void steal(Event& o) noexcept {

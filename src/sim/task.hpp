@@ -5,15 +5,16 @@
 // scheduler for a spawned root process). On completion it symmetrically
 // transfers control back to its awaiter. Exceptions propagate to the awaiter
 // through `co_await`; for root processes the `Simulation` collects them.
+//
+// Frames come from the global heap. The per-message operations (a send, a
+// recv, a billed compute step) are awaiters rather than tasks, so they take
+// no frame at all; what remains are program bodies and collectives.
 #pragma once
 
 #include <coroutine>
-#include <cstddef>
 #include <exception>
 #include <optional>
 #include <utility>
-
-#include "sim/frame_pool.hpp"
 
 namespace pdc::sim {
 
@@ -22,14 +23,6 @@ namespace detail {
 struct PromiseBase {
   std::coroutine_handle<> continuation;  // resumed when this task finishes
   std::exception_ptr exception;
-
-  // Coroutine frames are the hottest allocation in a run (one per awaited
-  // call); recycle them through the thread-local freelist instead of the
-  // global heap.
-  static void* operator new(std::size_t n) { return FramePool::local().allocate(n); }
-  static void operator delete(void* p, std::size_t n) noexcept {
-    FramePool::local().deallocate(p, n);
-  }
 
   struct FinalAwaiter {
     [[nodiscard]] bool await_ready() const noexcept { return false; }

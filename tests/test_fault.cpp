@@ -20,6 +20,7 @@
 #include "mp/api.hpp"
 #include "mp/pack.hpp"
 #include "sim/rng.hpp"
+#include "test_support.hpp"
 
 namespace pdc {
 namespace {
@@ -307,14 +308,7 @@ TEST(FaultDeterminism, DifferentSeedsDiverge) {
 
 // ---------- absolute byte pin over corrupting and duplicating cells ---------
 
-/// 64-bit FNV-1a, folded over `bytes` starting from `h`.
-std::uint64_t fnv1a(std::uint64_t h, std::span<const std::byte> bytes) {
-  for (const std::byte b : bytes) {
-    h ^= static_cast<std::uint64_t>(b);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
+using test::fnv1a;
 
 TEST(FaultGolden, CorruptingCellsMatchPinnedDigest) {
   // SendRecv (2 ranks) and Ring (4 ranks) on every paper platform, every
@@ -328,7 +322,7 @@ TEST(FaultGolden, CorruptingCellsMatchPinnedDigest) {
       FaultPlan::uniform(0.03, 0.01, 0.01, 0.0, sim::microseconds(200)),
       FaultPlan::uniform(0.05, 0.2, 0.2, 0.2, sim::microseconds(500)),
   };
-  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  std::uint64_t digest = test::kFnvBasis;
   std::uint64_t seed = 0xC0DE;
   const mp::TransportStats before = mp::transport_accumulator().transport;
   int cells = 0;

@@ -14,6 +14,7 @@
 #include <bit>
 #include <complex>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "apps/fft/fft.hpp"
@@ -31,6 +32,7 @@
 #include "kernels/reference.hpp"
 #include "kernels/sort.hpp"
 #include "sim/rng.hpp"
+#include "test_support.hpp"
 
 namespace pdc {
 namespace {
@@ -49,19 +51,9 @@ constexpr std::uint64_t kFftRoundtripFnv = 0x317272A9BA0B385EULL;
 constexpr std::uint64_t kPsrsSortedFnv = 0xF0A3726D91E3A489ULL;
 constexpr std::uint64_t kMcEstimateBits = 0x400922465630DBA0ULL;
 
-std::uint64_t fnv1a(const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x00000100000001B3ULL;
-  }
-  return h;
-}
-
 template <typename T>
 std::uint64_t fnv1a_vec(const std::vector<T>& v) {
-  return fnv1a(v.data(), v.size() * sizeof(T));
+  return test::fnv1a(test::kFnvBasis, std::as_bytes(std::span(v)));
 }
 
 /// Runs `fn` once per compiled dispatch path (scalar always; AVX2 when the
@@ -161,8 +153,7 @@ TEST(KernelFft, MatchesReferenceBitForBit) {
       kernels::ref::fft1d(want, inverse);
       auto got = base;
       kernels::fft1d(got, inverse);
-      ASSERT_EQ(fnv1a(got.data(), got.size() * sizeof(got[0])),
-                fnv1a(want.data(), want.size() * sizeof(want[0])))
+      ASSERT_EQ(fnv1a_vec(got), fnv1a_vec(want))
           << "n=" << n << " inverse=" << inverse;
     }
   }

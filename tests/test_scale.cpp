@@ -2,15 +2,13 @@
 // 4096-rank programs on the hierarchical platforms in tier-1 time, with
 // per-rank state and per-match mailbox work that stay O(active) as P grows.
 //
-// The binary overrides operator new with a counting malloc shim so the
+// The binary links the counting operator-new shim (heap_count.cpp) so the
 // allocs-per-rank assertions measure the real allocation rate of a run --
 // the "flat 256 -> 4096" pin is the load-bearing O(active) gate.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <numeric>
 #include <optional>
 #include <vector>
@@ -23,38 +21,7 @@
 #include "mp/pack.hpp"
 #include "mp/runtime.hpp"
 #include "sim/simulation.hpp"
-
-namespace {
-std::atomic<unsigned long long> g_heap_allocs{0};
-}  // namespace
-
-// GCC cannot see that the replacement operator-new below hands out malloc
-// storage, so pairing it with std::free trips -Wmismatched-new-delete.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void* operator new(std::size_t n) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-// The nothrow forms too (std::stable_sort's temporary buffer uses them):
-// left to the runtime, they would hand out memory the free-based deletes
-// below release, which AddressSanitizer reports as a new/free mismatch.
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n);
-}
-void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
-  return ::operator new(n, t);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
+#include "test_support.hpp"
 
 namespace pdc {
 namespace {
@@ -64,7 +31,8 @@ using host::PlatformId;
 using mp::Communicator;
 using mp::ToolKind;
 
-unsigned long long heap_allocs() { return g_heap_allocs.load(std::memory_order_relaxed); }
+using test::fnv1a;
+using test::heap_allocs;
 
 int log2_floor(int p) {
   int l = 0;
@@ -120,11 +88,10 @@ TEST(AllocsPerRank, FlatUpTo4096) {
   // Recursive doubling does log2(P) rounds per rank, so raw allocs-per-rank
   // legitimately grows ~1.5x from 256 (8 rounds) to 4096 (12 rounds);
   // normalising by rounds removes that. One residual super-linear term is
-  // benign and bounded: the thread-local pools retain a fixed number of
-  // blocks per class (BufferPool 64 buffers and 256 nodes, FramePool 128
-  // frames) while peak live payloads and frames are O(P) (every rank holds
-  // one in-flight message), so the pool hit rate decays toward zero and
-  // saturates around P=1024. Gate on the saturated region: 1024 -> 4096
+  // benign and bounded: the thread-local BufferPool retains a fixed number
+  // of blocks per class (64 buffers and 256 nodes) while peak live payloads
+  // are O(P) (every rank holds one in-flight message), so the pool hit rate
+  // decays toward zero and saturates around P=1024. Gate on the saturated region: 1024 -> 4096
   // must be flat, and 256 -> 4096 comfortably under 2x -- an O(P) per-rank
   // cost (eager mailboxes, per-rank link tables, allocating rank scans)
   // would show up as a ~16x blowup in either bound.
@@ -414,15 +381,6 @@ TEST(FaultCompose, LossyFatTreeAt256StillSumsExactly) {
 
 // ---------- absolute byte pin over scale-fabric and faulted cells ----------
 
-/// 64-bit FNV-1a, folded over `bytes` starting from `h`.
-std::uint64_t fnv1a(std::uint64_t h, const std::vector<std::byte>& bytes) {
-  for (const std::byte b : bytes) {
-    h ^= static_cast<std::uint64_t>(b);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 TEST(ScaleGolden, FabricAndFaultedCellsMatchPinnedDigest) {
   // Broadcast (p4), global sum (Express) and ring (PVM) on every scale
   // fabric at P in {256, 1024}, clean and at 5% uniform drop, plus one
@@ -468,7 +426,7 @@ TEST(ScaleGolden, FabricAndFaultedCellsMatchPinnedDigest) {
   sched.faults = FaultPlan::uniform(0.05);
   specs.push_back(eval::CellSpec::of(sched));
 
-  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  std::uint64_t digest = test::kFnvBasis;
   for (const auto& spec : specs) {
     const eval::CellResult result = eval::run_cell(spec);
     ASSERT_EQ(result.status, eval::CellStatus::Ok) << result.error;

@@ -15,12 +15,12 @@
 #include <vector>
 
 #include "sim/event_queue.hpp"
-#include "sim/frame_pool.hpp"
 #include "sim/resource.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulation.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
+#include "test_support.hpp"
 
 namespace pdc::sim {
 namespace {
@@ -145,7 +145,9 @@ TEST(Event, InlineAndHeapCallablesBothRunAfterMove) {
   std::array<char, 128> big_payload{};
   big_payload[0] = 42;
   int big_hit = 0;
+  const auto before = test::heap_allocs();
   Event big{[big_payload, &big_hit] { big_hit = big_payload[0]; }};
+  EXPECT_EQ(test::heap_allocs() - before, 1u);  // one block for the spill
   Event moved_big{std::move(big)};
   Event moved_again;
   moved_again = std::move(moved_big);
@@ -153,80 +155,24 @@ TEST(Event, InlineAndHeapCallablesBothRunAfterMove) {
   EXPECT_EQ(big_hit, 42);
 }
 
-TEST(FramePool, RecyclesFixedSizeBlocks) {
-  auto& pool = FramePool::local();
-  pool.trim();
-  pool.reset_stats();
-
-  void* a = pool.allocate(200);  // 256-byte class
-  EXPECT_EQ(pool.stats().misses, 1u);
-  pool.deallocate(a, 200);
-  EXPECT_EQ(pool.stats().releases, 1u);
-  EXPECT_EQ(pool.cached_blocks(), 1u);
-
-  // Anything in the same class reuses the cached block.
-  void* b = pool.allocate(129);
-  EXPECT_EQ(b, a);
-  EXPECT_EQ(pool.stats().hits, 1u);
-  EXPECT_GT(pool.stats().hit_rate(), 0.0);
-  pool.deallocate(b, 129);
-  pool.trim();
-  EXPECT_EQ(pool.cached_blocks(), 0u);
-}
-
-TEST(FramePool, OversizeBlocksFallThroughToHeap) {
-  auto& pool = FramePool::local();
-  pool.trim();
-  pool.reset_stats();
-  void* p = pool.allocate(1 << 20);  // above the largest class
-  EXPECT_EQ(pool.stats().misses, 1u);
-  pool.deallocate(p, 1 << 20);
-  EXPECT_EQ(pool.cached_blocks(), 0u);  // never cached
-  EXPECT_EQ(pool.stats().discards, 1u);
-}
-
-TEST(Event, FullInlineBudgetCaptureNeverTouchesTheFramePool) {
+TEST(Event, FullInlineBudgetCaptureNeverAllocates) {
   // A non-trivially-copyable capture that fills the whole 16-byte budget (a
   // lone shared_ptr) stays inline: built, relocated, fired and destroyed
-  // without a FramePool block.
+  // without a heap allocation.
   auto shared = std::make_shared<int>(7);
   auto fn = [shared] { ++*shared; };
   static_assert(sizeof(fn) == Event::kInlineBytes);
   static_assert(!std::is_trivially_copyable_v<decltype(fn)>);
 
-  auto& pool = FramePool::local();
-  pool.trim();
-  pool.reset_stats();
+  const auto before = test::heap_allocs();
   {
     Event e{std::move(fn)};
     Event moved{std::move(e)};
     moved();
   }
+  EXPECT_EQ(test::heap_allocs() - before, 0u);
   EXPECT_EQ(*shared, 8);
-  EXPECT_EQ(pool.stats().hits, 0u);
-  EXPECT_EQ(pool.stats().misses, 0u);
-  EXPECT_EQ(pool.stats().releases, 0u);
   EXPECT_EQ(shared.use_count(), 1);  // the inline copy was destroyed
-}
-
-TEST(Task, CoroutineFramesRecycleThroughTheFramePool) {
-  auto& pool = FramePool::local();
-  Simulation simu;
-  auto child = []() -> Task<int> { co_return 21; };
-  auto parent = [&child](int& out) -> Task<void> {
-    const int a = co_await child();  // child frame dies with this statement
-    const int b = co_await child();  // ...and this frame reuses its block
-    out = a + b;
-  };
-  int out = 0;
-  pool.trim();
-  pool.reset_stats();
-  simu.spawn(parent(out));
-  simu.run();
-  EXPECT_EQ(out, 42);
-  EXPECT_GE(pool.stats().releases, 2u);
-  EXPECT_GE(pool.stats().hits, 1u);
-  pool.trim();
 }
 
 TEST(Simulation, DelayAdvancesClock) {

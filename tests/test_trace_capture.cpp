@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "eval/trace_cell.hpp"
 #include "trace/analyze.hpp"
 #include "trace/export.hpp"
+#include "test_support.hpp"
 
 namespace eval = pdc::eval;
 namespace trace = pdc::trace;
@@ -211,6 +213,80 @@ TEST(TraceCaptureGolden, ExpressPsrsOnSp1Switch) {
   EXPECT_EQ(m.total_msgs(), 18);
   EXPECT_EQ(m.total_bytes(), 1'498'812);
   EXPECT_EQ(cp.covered_ns, 466'022'321);  // 99.96% of the makespan
+}
+
+// -- the message path's record stream ----------------------------------------
+//
+// Four TPL cells that between them take every send route (direct, the
+// Express tx engine, the PVM daemons) and the reliable transport, pinned by
+// record count and the FNV-1a of their CSV export. Event dispatch is
+// captured too, so the pins move if a message's path schedules one event
+// more, one fewer, or at another time or order.
+
+namespace {
+
+struct StreamPin {
+  std::size_t records{0};
+  std::uint64_t csv_fnv{0};
+};
+
+StreamPin message_path_pin(const eval::TplCell& cell) {
+  eval::TraceCapture opt;
+  opt.mask = trace::kDefaultMask | trace::kCatSim;
+  const auto traced = eval::run_cell_traced(eval::CellSpec::of(cell), opt);
+  EXPECT_EQ(traced.result.status, eval::CellStatus::Ok) << traced.result.error;
+  EXPECT_EQ(traced.stats.dropped, 0u);
+  const std::string csv = trace::export_csv(traced.records);
+  return {traced.records.size(),
+          pdc::test::fnv1a(pdc::test::kFnvBasis, std::as_bytes(std::span(csv)))};
+}
+
+}  // namespace
+
+TEST(TraceCaptureGolden, FaultedP4RingStream) {
+  eval::TplCell cell;  // as the pdctrace_faulted_ring_export ctest
+  cell.primitive = eval::Primitive::Ring;
+  cell.tool = mp::ToolKind::P4;
+  cell.bytes = 4096;
+  cell.procs = 4;
+  cell.faults = pdc::fault::FaultPlan::uniform(0.05, 0.01, 0.02, 0.0,
+                                               pdc::sim::microseconds(500), 7);
+  const StreamPin pin = message_path_pin(cell);
+  EXPECT_EQ(pin.records, 436u);
+  EXPECT_EQ(pin.csv_fnv, 0xb6b7928653c37919ULL) << std::hex << pin.csv_fnv;
+}
+
+TEST(TraceCaptureGolden, ExpressGlobalSumStream) {
+  eval::TplCell cell;
+  cell.primitive = eval::Primitive::GlobalSum;
+  cell.platform = host::PlatformId::Sp1Switch;
+  cell.tool = mp::ToolKind::Express;
+  cell.procs = 8;
+  cell.global_sum_ints = 256;
+  const StreamPin pin = message_path_pin(cell);
+  EXPECT_EQ(pin.records, 480u);
+  EXPECT_EQ(pin.csv_fnv, 0x5043ac243b7af5ceULL) << std::hex << pin.csv_fnv;
+}
+
+TEST(TraceCaptureGolden, PvmDaemonBroadcastStream) {
+  eval::TplCell cell;  // sequential from the root, every hop through the pvmds
+  cell.primitive = eval::Primitive::Broadcast;
+  cell.tool = mp::ToolKind::Pvm;
+  cell.bytes = 4096;
+  cell.procs = 4;
+  const StreamPin pin = message_path_pin(cell);
+  EXPECT_EQ(pin.records, 60u);
+  EXPECT_EQ(pin.csv_fnv, 0x1ffb3ea625a0e133ULL) << std::hex << pin.csv_fnv;
+}
+
+TEST(TraceCaptureGolden, P4SendRecvStream) {
+  eval::TplCell cell;
+  cell.primitive = eval::Primitive::SendRecv;
+  cell.tool = mp::ToolKind::P4;
+  cell.bytes = 4096;
+  const StreamPin pin = message_path_pin(cell);
+  EXPECT_EQ(pin.records, 32u);
+  EXPECT_EQ(pin.csv_fnv, 0xf94dc698dc38918eULL) << std::hex << pin.csv_fnv;
 }
 
 // -- determinism across sweep workers ----------------------------------------
