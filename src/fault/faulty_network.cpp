@@ -36,8 +36,7 @@ FaultyNetwork::FaultyNetwork(sim::Simulation& sim, std::unique_ptr<net::Network>
     : sim_(&sim),
       inner_(std::move(inner)),
       plan_(std::move(plan)),
-      rng_(sim::named_stream(plan_.seed, "pdc.fault.network")),
-      name_("faulty+" + inner_->name()) {
+      rng_(sim::named_stream(plan_.seed, "pdc.fault.network")) {
   validate(plan_);
 }
 

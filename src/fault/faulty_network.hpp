@@ -10,7 +10,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
 
 #include "fault/plan.hpp"
 #include "net/network.hpp"
@@ -40,8 +39,10 @@ class FaultyNetwork final : public net::Network {
   /// Faults only delay or destroy frames (reorder jitter and duplicate lag
   /// are non-negative), so the inner network's horizon remains safe.
   [[nodiscard]] sim::Duration lookahead() const noexcept override { return inner_->lookahead(); }
+  [[nodiscard]] std::int32_t placement_grain() const noexcept override {
+    return inner_->placement_grain();
+  }
   [[nodiscard]] double line_rate_bps() const noexcept override { return inner_->line_rate_bps(); }
-  [[nodiscard]] const std::string& name() const noexcept override { return name_; }
   [[nodiscard]] std::int64_t wire_bytes(std::int64_t bytes) const noexcept override {
     return inner_->wire_bytes(bytes);
   }
@@ -61,7 +62,6 @@ class FaultyNetwork final : public net::Network {
   FaultPlan plan_;
   sim::Rng rng_;
   InjectionStats stats_{};
-  std::string name_;
 };
 
 /// Wrap `cluster`'s network in a FaultyNetwork driven by `plan` and return

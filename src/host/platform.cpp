@@ -3,11 +3,6 @@
 #include <array>
 #include <stdexcept>
 
-#include "net/dragonfly.hpp"
-#include "net/fat_tree.hpp"
-#include "net/shared_bus.hpp"
-#include "net/switched.hpp"
-
 namespace pdc::host {
 
 namespace {
@@ -56,102 +51,86 @@ CpuModel cluster_node() {
           .os_crossing = sim::microseconds(2)};
 }
 
+// Network calibration. Every switched wire is an edge (line rate, switch
+// latency, propagation, access overhead, framing) around a fabric core;
+// the ATM pair and the three scale fabrics each share one edge.
+net::SwitchedParams sun_atm(sim::Duration propagation, net::FabricCore core) {
+  return {.line_rate_bps = 140e6,  // TAXI interface
+          .switch_latency = sim::microseconds(20),
+          .propagation = propagation,
+          .access_overhead = sim::microseconds(120),
+          .cell_payload = 48,
+          .cell_total = 53,
+          .core = core};
+}
+net::SwitchedParams cluster_fabric(net::FabricCore core) {
+  return {.line_rate_bps = 100e9,
+          .switch_latency = sim::microseconds(1),
+          .propagation = sim::microseconds(1),
+          .access_overhead = sim::microseconds(2),
+          .frame_payload = 4096,
+          .frame_overhead_bytes = 48,
+          .core = core};
+}
+
 constexpr std::int32_t kScaleMaxNodes = 4096;
 
 const std::array<PlatformSpec, 9> kSpecs = {{
-    {PlatformId::SunEthernet, "SUN/Ethernet", 8, sun_elc()},
-    {PlatformId::SunAtmLan, "SUN/ATM-LAN", 4, sun_ipx()},
-    {PlatformId::SunAtmWan, "SUN/ATM-WAN(NYNET)", 4, sun_ipx()},
-    {PlatformId::AlphaFddi, "ALPHA/FDDI", 8, alpha_axp()},
-    {PlatformId::Sp1Switch, "IBM-SP1(Switch)", 16, rs6000_370()},
-    {PlatformId::Sp1Ethernet, "IBM-SP1(Ethernet)", 16, rs6000_370()},
-    {PlatformId::ClusterFlat, "CLUSTER/Flat", kScaleMaxNodes, cluster_node()},
-    {PlatformId::ClusterFatTree, "CLUSTER/FatTree", kScaleMaxNodes, cluster_node()},
-    {PlatformId::ClusterDragonfly, "CLUSTER/Dragonfly", kScaleMaxNodes, cluster_node()},
+    // Shared 10 Mb/s Ethernet: the SharedBusParams defaults.
+    {PlatformId::SunEthernet, "SUN/Ethernet", 8, sun_elc(), net::SharedBusParams{}},
+    {PlatformId::SunAtmLan, "SUN/ATM-LAN", 4, sun_ipx(),
+     sun_atm(sim::microseconds(5), net::Crossbar{})},
+    // Half the SUNs at each site (Syracuse <-> Rome NY); the OC-3 trunk's
+    // rate is effective, after SONET/cell tax and sharing.
+    {PlatformId::SunAtmWan, "SUN/ATM-WAN(NYNET)", 4, sun_ipx(),
+     sun_atm(sim::microseconds(320), net::Trunk{.rate_bps = 90e6})},
+    {PlatformId::AlphaFddi, "ALPHA/FDDI", 8, alpha_axp(),
+     net::SwitchedParams{.line_rate_bps = 100e6,
+                         .switch_latency = sim::microseconds(15),
+                         .propagation = sim::microseconds(5),
+                         .access_overhead = sim::microseconds(80),  // token + driver
+                         .frame_payload = 4352,                     // FDDI MTU
+                         .frame_overhead_bytes = 28}},
+    // Allnode crossbar, ~32 MB/s per link.
+    {PlatformId::Sp1Switch, "IBM-SP1(Switch)", 16, rs6000_370(),
+     net::SwitchedParams{.line_rate_bps = 256e6,
+                         .switch_latency = sim::microseconds(2),
+                         .propagation = sim::microseconds(1),
+                         .access_overhead = sim::microseconds(60),
+                         .frame_payload = 8192,
+                         .frame_overhead_bytes = 16}},
+    // Dedicated Ethernet segment, better drivers.
+    {PlatformId::Sp1Ethernet, "IBM-SP1(Ethernet)", 16, rs6000_370(),
+     net::SharedBusParams{.per_frame_gap = sim::microseconds(60)}},
+    // Idealised flat crossbar at modern rates: the baseline the
+    // hierarchical fabrics are compared against.
+    {PlatformId::ClusterFlat, "CLUSTER/Flat", kScaleMaxNodes, cluster_node(),
+     cluster_fabric(net::Crossbar{})},
+    // Capacity 16^3 = 4096; 8 uplink planes at line rate -> 2:1
+    // oversubscription per tier.
+    {PlatformId::ClusterFatTree, "CLUSTER/FatTree", kScaleMaxNodes, cluster_node(),
+     cluster_fabric(
+         net::FatTree{.arity = 16, .levels = 3, .uplinks = 8, .uplink_rate_bps = 100e9})},
+    // 2 global cables per ordered group pair at half line rate.
+    {PlatformId::ClusterDragonfly, "CLUSTER/Dragonfly", kScaleMaxNodes, cluster_node(),
+     cluster_fabric(net::Dragonfly{.group_size = 64,
+                                   .links_per_pair = 2,
+                                   .global_rate_bps = 50e9,
+                                   .global_latency = sim::microseconds(3)})},
 }};
 
-std::unique_ptr<net::Network> make_network(sim::Simulation& sim, PlatformId id,
-                                           std::int32_t nodes) {
-  switch (id) {
-    case PlatformId::SunEthernet: {
-      net::SharedBusParams p;  // defaults model 10 Mb/s Ethernet
-      return std::make_unique<net::SharedBusNetwork>(sim, "ethernet", p);
-    }
-    case PlatformId::Sp1Ethernet: {
-      net::SharedBusParams p;
-      p.per_frame_gap = sim::microseconds(60);  // dedicated segment, better drivers
-      return std::make_unique<net::SharedBusNetwork>(sim, "sp1-ethernet", p);
-    }
-    case PlatformId::SunAtmLan: {
-      net::SwitchedParams p;
-      p.line_rate_bps = 140e6;  // TAXI interface
-      p.switch_latency = sim::microseconds(20);
-      p.propagation = sim::microseconds(5);
-      p.access_overhead = sim::microseconds(120);
-      p.cell_payload = 48;
-      p.cell_total = 53;
-      return std::make_unique<net::SwitchedNetwork>(sim, "atm-lan", nodes, p);
-    }
-    case PlatformId::SunAtmWan: {
-      net::SwitchedParams p;
-      p.line_rate_bps = 140e6;
-      p.switch_latency = sim::microseconds(20);
-      p.propagation = sim::microseconds(320);  // Syracuse <-> Rome NY
-      p.access_overhead = sim::microseconds(120);
-      p.cell_payload = 48;
-      p.cell_total = 53;
-      p.trunk_split = nodes / 2 > 0 ? nodes / 2 : 1;  // half the SUNs at each site
-      p.trunk_rate_bps = 90e6;  // OC-3 uplink, effective after SONET/cell tax + sharing
-      return std::make_unique<net::SwitchedNetwork>(sim, "nynet", nodes, p);
-    }
-    case PlatformId::AlphaFddi: {
-      net::SwitchedParams p;
-      p.line_rate_bps = 100e6;
-      p.switch_latency = sim::microseconds(15);
-      p.propagation = sim::microseconds(5);
-      p.access_overhead = sim::microseconds(80);  // token + driver
-      p.frame_payload = 4352;                     // FDDI MTU
-      p.frame_overhead_bytes = 28;
-      return std::make_unique<net::SwitchedNetwork>(sim, "fddi", nodes, p);
-    }
-    case PlatformId::Sp1Switch: {
-      net::SwitchedParams p;
-      p.line_rate_bps = 256e6;  // Allnode crossbar, ~32 MB/s per link
-      p.switch_latency = sim::microseconds(2);
-      p.propagation = sim::microseconds(1);
-      p.access_overhead = sim::microseconds(60);
-      p.frame_payload = 8192;
-      p.frame_overhead_bytes = 16;
-      return std::make_unique<net::SwitchedNetwork>(sim, "allnode", nodes, p);
-    }
-    case PlatformId::ClusterFlat: {
-      // Idealised flat crossbar at modern rates: the baseline the
-      // hierarchical fabrics are compared against (no shared uplinks, so
-      // only endpoint ports ever contend).
-      net::SwitchedParams p;
-      p.line_rate_bps = 100e9;
-      p.switch_latency = sim::microseconds(1);
-      p.propagation = sim::microseconds(1);
-      p.access_overhead = sim::microseconds(2);
-      p.frame_payload = 4096;
-      p.frame_overhead_bytes = 48;
-      return std::make_unique<net::SwitchedNetwork>(sim, "flat", nodes, p);
-    }
-    case PlatformId::ClusterFatTree: {
-      // Defaults: arity 16, 3 levels (capacity 4096), 8 uplink planes at
-      // line rate -> 2:1 oversubscription per tier.
-      net::FatTreeParams p;
-      return std::make_unique<net::FatTreeNetwork>(sim, "fattree", nodes, p);
-    }
-    case PlatformId::ClusterDragonfly: {
-      // Defaults: 64-host groups, 2 global cables per ordered group pair
-      // at half line rate.
-      net::DragonflyParams p;
-      return std::make_unique<net::DragonflyNetwork>(sim, "dragonfly", nodes, p);
-    }
+/// Builds the network a platform's parameters describe.
+struct MakeNetwork {
+  sim::Simulation& sim;
+  std::int32_t nodes;
+
+  std::unique_ptr<net::Network> operator()(const net::SharedBusParams& p) const {
+    return std::make_unique<net::SharedBusNetwork>(sim, p);
   }
-  throw std::logic_error("make_network: unknown platform");
-}
+  std::unique_ptr<net::Network> operator()(const net::SwitchedParams& p) const {
+    return std::make_unique<net::SwitchedNetwork>(sim, nodes, p);
+  }
+};
 
 }  // namespace
 
@@ -193,7 +172,7 @@ Cluster::Cluster(sim::Simulation& sim, PlatformId platform, std::int32_t nodes)
   // node(); construction just sizes the slot table so large-P clusters stay
   // O(active ranks) in memory.
   nodes_.resize(static_cast<std::size_t>(nodes));
-  network_ = make_network(sim, platform, nodes);
+  network_ = std::visit(MakeNetwork{sim, nodes}, spec.network);
 }
 
 }  // namespace pdc::host

@@ -1,7 +1,7 @@
 // pdceval -- catalogue of the paper's experimental platforms (Section 3.1).
 //
-// Each PlatformId bundles a CPU model and a network model calibrated to the
-// paper's environment at NPAC:
+// Each PlatformId bundles a CPU model and the parameters of its network
+// (one row of data each), calibrated to the paper's environment at NPAC:
 //   SunEthernet -- SPARCstation ELC (33 MHz) on shared 10 Mb/s Ethernet
 //   SunAtmLan   -- SPARCstation IPX (40 MHz) on 140 Mb/s ATM (FORE, TAXI)
 //   SunAtmWan   -- SPARCstation IPX on NYNET OC-3 ATM WAN (Syracuse-Rome)
@@ -13,11 +13,14 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "host/cpu_model.hpp"
 #include "host/node.hpp"
 #include "net/network.hpp"
+#include "net/shared_bus.hpp"
+#include "net/switched.hpp"
 #include "sim/simulation.hpp"
 
 namespace pdc::host {
@@ -45,6 +48,8 @@ struct PlatformSpec {
   std::string name;
   std::int32_t max_nodes;
   CpuModel cpu;
+  /// The wire between the nodes: one shared channel or a switched fabric.
+  std::variant<net::SharedBusParams, net::SwitchedParams> network;
 };
 
 [[nodiscard]] const PlatformSpec& platform_spec(PlatformId id);

@@ -304,8 +304,15 @@ void Runtime::on_data_frame(Parcel* p, bool corrupted) {
     unref(p);
     return;
   }
-  ++p->refs;  // the reorder buffer's
-  ls.rx_held.emplace(p->seq, p);
+  ++p->refs;  // the receiver's (or the reorder buffer's, until released)
+  if (p->seq == ls.rx_next) {
+    // In order: every held frame is later, so p goes first either way and
+    // needs no reorder-buffer node.
+    ++ls.rx_next;
+    release_to_receiver(p);
+  } else {
+    ls.rx_held.emplace(p->seq, p);
+  }
   while (!ls.rx_held.empty() && ls.rx_held.begin()->first == ls.rx_next) {
     Parcel* ready = ls.rx_held.begin()->second;
     ls.rx_held.erase(ls.rx_held.begin());

@@ -3,11 +3,13 @@
 // A Network answers one question: if `bytes` leave node `src` for node
 // `dst` starting now, when does the last byte arrive at dst's NIC?
 // Contention is modelled with busy-until SerialResources (exact FIFO
-// queueing given the event loop's chronological calls).
+// queueing given the event loop's chronological calls). Two models
+// implement it: SharedBusNetwork (one half-duplex channel, the paper's
+// Ethernet) and SwitchedNetwork (per-node ports around a fabric core whose
+// cables are data: crossbar, WAN trunk, fat tree or dragonfly).
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "sim/time.hpp"
 
@@ -85,10 +87,14 @@ class Network {
   /// Zero means "unknown". Must not change over the life of a simulation.
   [[nodiscard]] virtual sim::Duration lookahead() const noexcept { return {}; }
 
+  /// Topology alignment grain: the block of consecutive node ids the
+  /// scheduler's placer tries not to straddle (a fat tree's leaf pod, a
+  /// dragonfly group). 1 on distance-uniform fabrics. Part of the pinned
+  /// schedule bytes, like lookahead().
+  [[nodiscard]] virtual std::int32_t placement_grain() const noexcept { return 1; }
+
   /// Nominal line rate in bits/s (for reporting).
   [[nodiscard]] virtual double line_rate_bps() const noexcept = 0;
-
-  [[nodiscard]] virtual const std::string& name() const noexcept = 0;
 
   /// Wire-level bytes actually transmitted for a payload of `bytes`
   /// (framing/cell tax); used by utilisation reports and tests.

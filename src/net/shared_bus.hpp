@@ -6,9 +6,6 @@
 // accurate to within the backoff noise the paper itself averages away).
 #pragma once
 
-#include <memory>
-#include <string>
-
 #include "net/network.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulation.hpp"
@@ -31,13 +28,12 @@ struct SharedBusParams {
 
 class SharedBusNetwork final : public Network {
  public:
-  SharedBusNetwork(sim::Simulation& sim, std::string name, SharedBusParams params);
+  SharedBusNetwork(sim::Simulation& sim, SharedBusParams params);
 
   sim::TimePoint transfer(NodeId src, NodeId dst, std::int64_t bytes) override;
   sim::TimePoint transfer_chunked(NodeId src, NodeId dst, std::int64_t bytes,
                                   const ChunkProtocol& protocol) override;
   [[nodiscard]] double line_rate_bps() const noexcept override { return params_.line_rate_bps; }
-  [[nodiscard]] const std::string& name() const noexcept override { return name_; }
   [[nodiscard]] std::int64_t wire_bytes(std::int64_t bytes) const noexcept override;
 
   /// Even an empty message occupies the channel for one frame gap (plus
@@ -64,7 +60,6 @@ class SharedBusNetwork final : public Network {
   [[nodiscard]] sim::Duration collision_waste(std::int64_t acquisitions) const noexcept;
 
   sim::Simulation& sim_;
-  std::string name_;
   SharedBusParams params_;
   sim::SerialResource channel_;
 };

@@ -13,27 +13,12 @@
 
 namespace pdc::sched {
 
-namespace {
-
-/// Topology alignment grain: the unit the placer tries not to straddle.
-/// Fat-tree leaf pods hold `arity` hosts; dragonfly groups hold 64; every
-/// other catalogued fabric is distance-uniform, so alignment buys nothing.
-[[nodiscard]] int placement_grain(host::PlatformId platform) noexcept {
-  switch (platform) {
-    case host::PlatformId::ClusterFatTree: return 16;
-    case host::PlatformId::ClusterDragonfly: return 64;
-    default: return 1;
-  }
-}
-
-}  // namespace
-
 Scheduler::Scheduler(sim::Simulation& sim, host::Cluster& cluster, Policy policy)
     : sim_(sim),
       cluster_(cluster),
       policy_(policy),
       lookahead_(cluster.network().lookahead()),
-      grain_(placement_grain(cluster.platform())) {
+      grain_(cluster.network().placement_grain()) {
   if (policy_.launch_overhead < sim::Duration::zero()) {
     throw std::invalid_argument("Scheduler: negative launch overhead");
   }

@@ -15,8 +15,9 @@
 // commitments of everything ahead of it, so backfilled jobs can never push
 // the head job's planned start later. Bases are chosen
 // topology-aware: among feasible gaps at the earliest feasible time, the
-// planner prefers placements crossing the fewest topology grains (fat-tree
-// pod / dragonfly group), then the lowest base.
+// planner prefers placements crossing the fewest topology grains (the
+// fabric's Network::placement_grain(): fat-tree pod / dragonfly group),
+// then the lowest base.
 #pragma once
 
 #include <cstdint>

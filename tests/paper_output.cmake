@@ -1,10 +1,13 @@
-# Runs PROGRAM and compares its stdout with EXPECTED byte for byte (used by
-# the paper_output_* ctests). The sweep width is pinned to 2 threads because
-# the figure headers print it; the simulated numbers do not depend on it.
+# Runs PROGRAM with the optional space-separated ARGS and compares its stdout
+# with EXPECTED byte for byte (used by the paper_output_* and pdcsched_output_*
+# ctests). The sweep width is pinned to 2 threads because the figure headers
+# print it; the simulated numbers do not depend on it.
 #
-#   cmake -DPROGRAM=<exe> -DEXPECTED=<file> -DOUTPUT=<file> -P paper_output.cmake
+#   cmake -DPROGRAM=<exe> [-DARGS="<arg> ..."] -DEXPECTED=<file> -DOUTPUT=<file>
+#         -P paper_output.cmake
 set(ENV{PDC_SWEEP_THREADS} 2)
-execute_process(COMMAND "${PROGRAM}" OUTPUT_FILE "${OUTPUT}" RESULT_VARIABLE status)
+separate_arguments(args UNIX_COMMAND "${ARGS}")
+execute_process(COMMAND "${PROGRAM}" ${args} OUTPUT_FILE "${OUTPUT}" RESULT_VARIABLE status)
 if(NOT status EQUAL 0)
   message(FATAL_ERROR "${PROGRAM} exited with ${status}")
 endif()

@@ -449,16 +449,15 @@ TEST(Parcel, PingPongAllocatesNothingPerMessage) {
   EXPECT_EQ(held.use_count(), 1);
 }
 
-TEST(Parcel, FaultyPingPongAllocatesOnlyReorderBufferNodes) {
+TEST(Parcel, FaultyPingPongAllocatesAlmostNothingPerMessage) {
   // On a faulty wire the reliable transport's frames, timers and acks fit
-  // the inline budget too. What allocates is the receiver's reorder buffer:
-  // every accepted data frame passes through its std::map, one node each.
-  // The rest (201 or 202 allocations over the 198 messages) is the event
-  // queue's storage growing as retransmission timers pile up.
+  // the inline budget too, and an in-order data frame goes straight to the
+  // receiver. What allocates is the rare out-of-order frame's node in the
+  // reorder buffer and the event queue's storage growing as retransmission
+  // timers pile up: 3 or 4 allocations over the 198 messages.
   const Payload held = make_payload(Bytes(1024, std::byte{0x5A}));
   for (const ToolKind tool : {ToolKind::P4, ToolKind::Express, ToolKind::Pvm}) {
-    EXPECT_LE(ping_pong_allocs_per_message(tool, fault::FaultPlan::uniform(0.05), held),
-              1.025)
+    EXPECT_LE(ping_pong_allocs_per_message(tool, fault::FaultPlan::uniform(0.05), held), 0.03)
         << to_string(tool);
   }
   EXPECT_EQ(held.use_count(), 1);
